@@ -1,11 +1,13 @@
 package accluster
 
-// One benchmark per table/figure of the paper's evaluation (see DESIGN.md's
-// per-experiment index). The benches measure per-query wall time on
-// pre-built, pre-converged indexes at a laptop-friendly scale (the paper's
-// full 2,000,000-object sweeps are regenerated by cmd/acbench); modeled
-// times under the paper's cost constants are printed by the harness, here we
-// report objs/query (objects verified) as the scale-free comparison metric.
+// One benchmark per table/figure of the paper's evaluation (§7; the
+// experiments are listed by harness.Experiments and regenerated as the
+// README's Benchmarks section shows). The benches measure per-query wall
+// time on pre-built, pre-converged indexes at a laptop-friendly scale (the
+// paper's full 2,000,000-object sweeps are regenerated by cmd/acbench);
+// modeled times under the paper's cost constants are printed by the harness,
+// here we report objs/query (objects verified) as the scale-free comparison
+// metric.
 //
 // E9 (paper Table 2, the cost constants) has no benchmark: the constants are
 // pinned by unit tests in internal/cost.

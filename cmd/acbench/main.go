@@ -2,7 +2,8 @@
 // Llirbat, "Clustering Multidimensional Extended Objects to Speed Up
 // Execution of Spatial Queries"): Fig. 7 (selectivity sweep), Fig. 8
 // (dimensionality sweep over skewed data), the point-enclosing experiment,
-// and the ablations indexed in DESIGN.md.
+// and the ablations and extensions listed by harness.Experiments (see the
+// README's Benchmarks section).
 //
 // Usage:
 //

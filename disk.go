@@ -118,8 +118,8 @@ func (d *Disk) SearchIDs(q Rect, rel Relation) ([]uint32, error) {
 }
 
 // SearchIDsAppend appends all qualifying identifiers to dst and returns the
-// extended slice; with a reused dst, selections whose regions are all
-// cached allocate nothing.
+// extended slice; with a reused dst, steady-state selections allocate
+// nothing, cache misses included.
 //
 //ac:noalloc
 func (d *Disk) SearchIDsAppend(dst []uint32, q Rect, rel Relation) ([]uint32, error) {
@@ -141,7 +141,7 @@ func (d *Disk) SearchIDsAppend(dst []uint32, q Rect, rel Relation) ([]uint32, er
 // decoded once and verified against every interested query while hot. A
 // batch therefore costs strictly fewer seeks than looping its queries
 // whenever they share clusters or their clusters adjoin on the device. With
-// a reused dst a fully cached batch allocates nothing. The latency
+// a reused dst a steady-state batch allocates nothing. The latency
 // histogram records one sample for the whole batch.
 //
 //ac:noalloc

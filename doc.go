@@ -156,7 +156,9 @@
 // (WithReadahead, default 256 KiB) — regions adjacent or near-adjacent on
 // the device merge into single sequential reads, one Seek each. The cache
 // is invalidated by reopening: a Disk opened after a new SaveFile starts a
-// fresh cache generation. Fully cached selections allocate nothing.
+// fresh cache generation. Steady-state selections allocate nothing, cache
+// misses included: a missed region decodes into pages recycled from
+// evicted ones, and the budget charges the recycled pages too.
 //
 // # Durability and recovery
 //

@@ -1,53 +1,89 @@
 package blockcache
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
+
+	"accluster/internal/geom"
 )
 
-// mkRegion builds a filled region of n members in dims dimensions.
+// mkRegion builds a filled region of n members in dims dimensions with
+// private storage.
 func mkRegion(n, dims int, fill float32) *Region {
 	r := new(Region)
 	r.Reset(n, dims)
-	for i := range r.IDs {
-		r.IDs[i] = uint32(i)
-	}
-	for d := 0; d < dims; d++ {
-		for i := 0; i < n; i++ {
-			r.Lo[d][i] = fill
-			r.Hi[d][i] = fill + 1
-		}
-	}
+	fillRegion(r, dims, fill)
 	return r
 }
 
-func TestRegionResetLayout(t *testing.T) {
-	r := new(Region)
-	r.Reset(10, 3)
-	if r.Len() != 10 || len(r.Lo) != 3 || len(r.Hi) != 3 {
-		t.Fatalf("shape: len=%d lo=%d hi=%d", r.Len(), len(r.Lo), len(r.Hi))
-	}
-	for d := 0; d < 3; d++ {
-		if len(r.Lo[d]) != 10 || len(r.Hi[d]) != 10 {
-			t.Fatalf("column %d: %d/%d", d, len(r.Lo[d]), len(r.Hi[d]))
+// fillRegion numbers the members and sets every interval to [fill, fill+1].
+func fillRegion(r *Region, dims int, fill float32) {
+	for p, pg := range r.Pages() {
+		ids, _ := pg.Columns()
+		for i := range ids {
+			ids[i] = uint32(p*PageSlots + i)
+		}
+		for d := 0; d < dims; d++ {
+			for i := range pageLo(pg, d) {
+				pageLo(pg, d)[i] = fill
+				pageHi(pg, d)[i] = fill + 1
+			}
 		}
 	}
+}
+
+// pageLo and pageHi return the interval starts and ends of page pg's
+// members in dimension d.
+func pageLo(pg *Page, d int) []float32 { o := 2 * d * PageSlots; return pg.cols[o : o+pg.n] }
+func pageHi(pg *Page, d int) []float32 { o := (2*d + 1) * PageSlots; return pg.cols[o : o+pg.n] }
+
+// lo0 returns the first member's interval start in dimension 0.
+func lo0(r *Region) float32 { return pageLo(r.Pages()[0], 0)[0] }
+
+func TestRegionResetLayout(t *testing.T) {
+	r := new(Region)
+	r.Reset(40, 3)
+	if r.Len() != 40 || len(r.Pages()) != pagesFor(40) {
+		t.Fatalf("shape: len=%d pages=%d", r.Len(), len(r.Pages()))
+	}
+	total := 0
+	for p, pg := range r.Pages() {
+		want := min(PageSlots, 40-p*PageSlots)
+		if pg.n != want || len(pg.IDs()) != want {
+			t.Fatalf("page %d holds %d members, want %d", p, pg.n, want)
+		}
+		for d := 0; d < 3; d++ {
+			if len(pageLo(pg, d)) != want || len(pageHi(pg, d)) != want {
+				t.Fatalf("page %d column %d: %d/%d", p, d, len(pageLo(pg, d)), len(pageHi(pg, d)))
+			}
+		}
+		total += pg.n
+	}
+	if total != 40 {
+		t.Fatalf("pages hold %d members, want 40", total)
+	}
 	// Columns must not alias: writing one must not leak into neighbours.
-	r.Lo[0][9] = 42
-	r.Hi[0][0] = 43
-	if r.Hi[0][9] == 42 || r.Lo[1][0] == 43 {
+	pg := r.Pages()[0]
+	pageLo(pg, 0)[PageSlots-1] = 42
+	pageHi(pg, 0)[0] = 43
+	if pageHi(pg, 0)[PageSlots-1] == 42 || pageLo(pg, 1)[0] == 43 {
 		t.Fatal("columns alias each other")
 	}
-	// Shrinking reuses the slab; the layout must stay disjoint.
-	slabBefore := &r.slab[0]
+	// Shrinking reuses the pages; the layout must stay disjoint.
+	first := r.Pages()[0]
 	r.Reset(4, 3)
-	if &r.slab[0] != slabBefore {
-		t.Fatal("shrink reallocated the slab")
+	if len(r.Pages()) != 1 || r.Pages()[0] != first {
+		t.Fatal("shrink reallocated the pages")
 	}
-	r.Lo[2][3] = 7
-	if r.Hi[2][0] == 7 || r.Lo[1][3] == 7 {
+	pageLo(first, 2)[3] = 7
+	if pageHi(first, 2)[0] == 7 || pageLo(first, 1)[3] == 7 {
 		t.Fatal("columns alias after shrink")
+	}
+	// The charge covers exactly the pages in use.
+	if r.Bytes() != pageBytes(3)+regionOverhead {
+		t.Fatalf("charge %d, want one page plus overhead", r.Bytes())
 	}
 }
 
@@ -154,7 +190,7 @@ func TestPinnedNeverEvicted(t *testing.T) {
 		t.Fatal("pinned entry evicted")
 	}
 	// The pinned columns must still be intact.
-	if pinned.Lo[0][0] != 0 || pinned.Hi[0][0] != 1 {
+	if lo0(pinned) != 0 || pageHi(pinned.Pages()[0], 0)[0] != 1 {
 		t.Fatal("pinned region corrupted")
 	}
 	c.Unpin(pinned)
@@ -234,8 +270,8 @@ func TestConcurrentCacheStress(t *testing.T) {
 				}
 				// Read through the pin; the fill value must match the
 				// key no matter what eviction does around us.
-				if r.Lo[0][0] != float32(k.Cluster) {
-					t.Errorf("worker %d: region %d holds value %g", w, k.Cluster, r.Lo[0][0])
+				if lo0(r) != float32(k.Cluster) {
+					t.Errorf("worker %d: region %d holds value %g", w, k.Cluster, lo0(r))
 					c.Unpin(r)
 					return
 				}
@@ -293,4 +329,196 @@ func TestStatsPinnedAndEvictionAccounting(t *testing.T) {
 	if s.UsedBytes != int64(s.Entries)*per {
 		t.Fatalf("used bytes %d do not match %d resident entries", s.UsedBytes, s.Entries)
 	}
+}
+
+// audit checks, under the cache mutex, that none of r's storage is held by
+// a resident region or by the free pool, and that the byte accounting
+// matches the storage the cache holds plus inFlight — the charge of the
+// regions handed out by Alloc and not yet Put.
+func (c *Cache) audit(t *testing.T, r *Region, inFlight int64) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	held := make(map[*Page]bool)
+	var charged int64
+	for _, e := range c.ring {
+		if r != nil && e == r {
+			t.Errorf("decode target %p is resident", r)
+		}
+		for _, pg := range e.pages {
+			held[pg] = true
+		}
+		charged += e.bytes
+	}
+	for _, pg := range c.free {
+		if held[pg] {
+			t.Errorf("free page %p also belongs to a resident region", pg)
+		}
+		held[pg] = true
+		charged += pageBytes(pg.dims())
+	}
+	for _, s := range c.spare {
+		if r != nil && s == r {
+			t.Errorf("decode target %p is a spare header", r)
+		}
+	}
+	charged += int64(len(c.spare)) * regionOverhead
+	if r != nil {
+		for _, pg := range r.pages {
+			if held[pg] {
+				t.Errorf("decode target page %p belongs to a resident region or the free pool", pg)
+			}
+		}
+	}
+	if inFlight >= 0 && c.used != charged+inFlight {
+		t.Errorf("used %d bytes, cache holds %d plus %d in flight", c.used, charged, inFlight)
+	}
+	if c.used > c.budget {
+		t.Errorf("used %d bytes over the %d budget", c.used, c.budget)
+	}
+}
+
+// TestConcurrentRecyclingStress hammers Get/Alloc/Put/Unpin from many
+// goroutines over a budget far below the working set, with regions of
+// varying size (run under -race in CI). Storage handed to a decode must
+// never belong to a resident or pinned region or to the free pool, a pinned
+// region's contents must never change under its reader, and the cache must
+// stay within its budget at every step; at rest the accounting must match
+// the storage held exactly.
+func TestConcurrentRecyclingStress(t *testing.T) {
+	const dims, clusters, workers = 3, 24, 8
+	size := func(k Key) int { return int(k.Cluster) * 7 % 90 } // 0..89 members, several pages
+	c := New(4 * mkRegion(60, dims, 0).Bytes())
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 1500; i++ {
+				k := Key{Gen: 1, Cluster: int32(rng.Intn(clusters))}
+				r, ok := c.Get(k)
+				if !ok {
+					r = c.Alloc(size(k), dims)
+					c.audit(t, r, -1)
+					fillRegion(r, dims, float32(k.Cluster))
+					r = c.Put(k, r)
+				}
+				if r.Len() != size(k) {
+					t.Errorf("worker %d: region %d has %d members, want %d", w, k.Cluster, r.Len(), size(k))
+				}
+				for _, pg := range r.Pages() {
+					for d := 0; d < dims; d++ {
+						for _, v := range pageLo(pg, d) {
+							if v != float32(k.Cluster) {
+								t.Errorf("worker %d: pinned region %d holds %g", w, k.Cluster, v)
+							}
+						}
+					}
+				}
+				c.Unpin(r)
+				if st := c.Stats(); st.UsedBytes > st.BudgetBytes {
+					t.Errorf("worker %d: over budget: %+v", w, st)
+				}
+				if t.Failed() {
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	c.audit(t, nil, 0)
+	st := c.Stats()
+	if st.Hits == 0 || st.Evictions == 0 || st.Pinned != 0 {
+		t.Fatalf("stress exercised nothing or leaked pins: %+v", st)
+	}
+}
+
+// TestFilterMatchesColumnKernels is the differential test of the paged
+// verifier: on random regions — coordinates on a coarse grid so boundary
+// ties are common, with NaNs and ±Inf mixed in — and random dimension
+// subsets, Region.Filter must keep exactly the members geom's
+// dimension-at-a-time kernels keep over contiguous columns, and report the
+// same number of member checks (the BytesVerified basis).
+func TestFilterMatchesColumnKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	nan := float32(math.NaN())
+	coord := func() float32 {
+		switch rng.Intn(40) {
+		case 0:
+			return nan
+		case 1:
+			return float32(math.Inf(1))
+		case 2:
+			return float32(math.Inf(-1))
+		}
+		return float32(rng.Intn(9)) / 8
+	}
+	for trial := 0; trial < 400; trial++ {
+		dims := 1 + rng.Intn(6)
+		n := rng.Intn(5 * PageSlots)
+		r := new(Region)
+		r.Reset(n, dims)
+		lo := make([][]float32, dims)
+		hi := make([][]float32, dims)
+		for d := range lo {
+			lo[d] = make([]float32, n)
+			hi[d] = make([]float32, n)
+		}
+		for i := 0; i < n; i++ {
+			pg := r.Pages()[i/PageSlots]
+			pg.ids[i%PageSlots] = uint32(i)
+			for d := 0; d < dims; d++ {
+				a, b := coord(), coord()
+				if a > b {
+					a, b = b, a
+				}
+				lo[d][i], hi[d][i] = a, b
+				pageLo(pg, d)[i%PageSlots], pageHi(pg, d)[i%PageSlots] = a, b
+			}
+		}
+		qmin := make([]float32, dims)
+		qmax := make([]float32, dims)
+		for d := range qmin {
+			qmin[d], qmax[d] = coord(), coord()
+			if qmin[d] > qmax[d] {
+				qmin[d], qmax[d] = qmax[d], qmin[d]
+			}
+		}
+		order := rng.Perm(dims)[:rng.Intn(dims+1)]
+		for _, rel := range []geom.Relation{geom.Intersects, geom.ContainedBy, geom.Encloses} {
+			want := make([]uint64, geom.BitmapWords(n))
+			geom.InitBitmap(want, n)
+			wantAlive, wantChecks := n, int64(0)
+			for _, d := range order {
+				if wantAlive == 0 {
+					break
+				}
+				wantChecks += int64(wantAlive)
+				wantAlive = geom.FilterDim(rel, lo[d], hi[d], qmin[d], qmax[d], want)
+			}
+			bits := make([]uint64, r.BitmapWords())
+			alive, checks := r.Filter(rel, order, qmin, qmax, bits)
+			got := r.AppendSurvivors(nil, bits)
+			wantIDs := geom.AppendSurvivors(nil, idsUpTo(n), want)
+			if alive != wantAlive || checks != wantChecks || len(got) != len(wantIDs) {
+				t.Fatalf("trial %d %v: alive %d checks %d survivors %d, want %d %d %d",
+					trial, rel, alive, checks, len(got), wantAlive, wantChecks, len(wantIDs))
+			}
+			for i := range got {
+				if got[i] != wantIDs[i] {
+					t.Fatalf("trial %d %v: survivor %d is %d, want %d", trial, rel, i, got[i], wantIDs[i])
+				}
+			}
+		}
+	}
+}
+
+// idsUpTo returns the identifiers 0..n-1.
+func idsUpTo(n int) []uint32 {
+	ids := make([]uint32, n)
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	return ids
 }

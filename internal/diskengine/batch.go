@@ -27,11 +27,10 @@ import (
 	"accluster/internal/cost"
 	"accluster/internal/geom"
 	"accluster/internal/sig"
-	"accluster/internal/store"
 )
 
 // batchScratch holds the per-batch buffers of one in-flight batched
-// selection so the fully cached warm path allocates nothing.
+// selection so the warm path allocates nothing.
 //
 //ac:scratch
 type batchScratch struct {
@@ -43,26 +42,10 @@ type batchScratch struct {
 	widths []float32 // sort keys backing orders
 	perQ   [][]uint32
 
-	miss []int32         // matched positions absent from the cache (each once)
-	runs []store.ReadRun // coalesced read plan over miss
-	buf  []byte          // device image of the run being processed
-	bits []uint64        // candidate bitmap for the filter kernels
-	// local is the decode target reused across misses when the engine has
-	// no cache.
-	local *blockcache.Region
-	meter cost.Meter
-}
-
-// ensureBits returns the bitmap sized for n objects.
-//
-//ac:noalloc
-func (sc *batchScratch) ensureBits(n int) []uint64 {
-	w := geom.BitmapWords(n)
-	if cap(sc.bits) < w {
-		//acvet:ignore noalloc amortized scratch growth; no alloc once bits reaches dataset size
-		sc.bits = make([]uint64, w)
-	}
-	return sc.bits[:w]
+	misses missPass // coalesced read pass over the union's cache misses (each once)
+	bits   []uint64 // candidate bitmap for the filter kernels
+	dims   []int    // a query's order minus the region's signature-implied dimensions
+	meter  cost.Meter
 }
 
 // pairOf returns the position of cluster ci in the cluster-major match
@@ -94,7 +77,7 @@ var batchPool = sync.Pool{New: func() any { return &batchScratch{} }}
 // interested query. Result order within a query follows the pass order
 // (cached regions, then misses by device offset), as in the single-query
 // path. An invalid query fails the whole batch before any of it executes.
-// With every region cached a warm batch allocates nothing.
+// A steady-state batch allocates nothing, cache misses included.
 //
 //ac:noalloc
 func (e *Engine) SearchIDsBatch(dst *geom.IDBatch, qs []geom.Rect, rel geom.Relation) error {
@@ -133,6 +116,8 @@ func (e *Engine) SearchIDsBatch(dst *geom.IDBatch, qs []geom.Rect, rel geom.Rela
 		sc.orders = make([]int, 0, nq*e.dims)
 		//acvet:ignore noalloc amortized scratch growth; no alloc once widths covers the batch size
 		sc.widths = make([]float32, 0, nq*e.dims)
+		//acvet:ignore noalloc amortized scratch growth; no alloc once dims fits query dims
+		sc.dims = make([]int, 0, e.dims)
 	}
 	sc.orders, sc.widths = sc.orders[:nq*e.dims], sc.widths[:nq*e.dims]
 	for qi := range qs {
@@ -152,7 +137,8 @@ func (e *Engine) SearchIDsBatch(dst *geom.IDBatch, qs []geom.Rect, rel geom.Rela
 	// Hit pass: the union's cached regions verify against all their
 	// interested queries while pinned — one cache probe per distinct
 	// cluster, no I/O. Misses defer to the single coalesced read pass.
-	sc.miss = sc.miss[:0]
+	mp := &sc.misses
+	mp.miss = mp.miss[:0]
 	for p, ci := range sc.match.Clusters {
 		if e.cache != nil {
 			if r, ok := e.cache.Get(blockcache.Key{Gen: e.gen, Cluster: ci}); ok {
@@ -162,11 +148,22 @@ func (e *Engine) SearchIDsBatch(dst *geom.IDBatch, qs []geom.Rect, rel geom.Rela
 				continue
 			}
 		}
-		sc.miss = append(sc.miss, ci)
+		mp.miss = append(mp.miss, ci)
 	}
+	// Miss pass: one coalesced read plan over the union's misses, each
+	// region decoded once and verified against every interested query.
 	var err error
-	if len(sc.miss) > 0 {
-		err = e.readAndVerifyBatch(sc, qs, rel)
+	if len(mp.miss) > 0 {
+		e.planMisses(mp)
+		for {
+			var r *blockcache.Region
+			var ci int32
+			if r, ci, err = e.nextMiss(mp, &sc.meter); r == nil {
+				break
+			}
+			e.verifyRegionBatch(sc, r, int(ci), sc.pairOf(ci), qs, rel)
+			e.release(r)
+		}
 	}
 	e.meter.Merge(sc.meter)
 
@@ -179,57 +176,6 @@ func (e *Engine) SearchIDsBatch(dst *geom.IDBatch, qs []geom.Rect, rel geom.Rela
 	return err
 }
 
-// readAndVerifyBatch runs the batch miss pass: one coalesced read plan over
-// the union of the batch's missed regions, each region decoded once and
-// verified against every query interested in it.
-//
-//ac:noalloc
-func (e *Engine) readAndVerifyBatch(sc *batchScratch, qs []geom.Rect, rel geom.Relation) error {
-	sc.runs = store.PlanReadRuns(e.dir, sc.miss, e.dims, e.maxGap, sc.runs[:0])
-	for _, run := range sc.runs {
-		if int64(cap(sc.buf)) < run.Bytes {
-			//acvet:ignore noalloc amortized read-buffer growth to the largest coalesced run
-			sc.buf = make([]byte, run.Bytes)
-		}
-		buf := sc.buf[:run.Bytes]
-		if _, err := e.dev.ReadAt(buf, run.Offset); err != nil {
-			//acvet:ignore noalloc cold device-failure path
-			return fmt.Errorf("diskengine: read run at %d: %w", run.Offset, err)
-		}
-		sc.meter.Seeks++
-		sc.meter.BytesTransferred += run.Bytes
-		for k := 0; k < run.N; k++ {
-			ci := sc.miss[run.First+k]
-			ent := e.dir[ci]
-			img := buf[ent.Offset-run.Offset : ent.Offset-run.Offset+int64(ent.RegionBytes(e.dims))]
-			var r *blockcache.Region
-			if e.cache != nil {
-				//acvet:ignore noalloc cache-miss region insert; the pinned warm path is all hits
-				r = new(blockcache.Region)
-			} else {
-				if sc.local == nil {
-					//acvet:ignore noalloc one-time lazy init of the cacheless scratch region
-					sc.local = new(blockcache.Region)
-				}
-				r = sc.local
-			}
-			r.Reset(ent.Count, e.dims)
-			if err := store.DecodeRegionColumns(img, ent, e.dims, r.IDs, r.Lo, r.Hi); err != nil {
-				return err
-			}
-			if e.cache != nil {
-				sc.meter.CacheMisses++
-				r = e.cache.Put(blockcache.Key{Gen: e.gen, Cluster: ci}, r)
-			}
-			e.verifyRegionBatch(sc, r, int(ci), sc.pairOf(ci), qs, rel)
-			if e.cache != nil {
-				e.cache.Unpin(r)
-			}
-		}
-	}
-	return nil
-}
-
 // verifyRegionBatch narrows one region's members against every query
 // interested in the cluster — the columns walked back-to-back per query
 // while hot — appending each query's survivors to its accumulator. The
@@ -239,8 +185,6 @@ func (e *Engine) readAndVerifyBatch(sc *batchScratch, qs []geom.Rect, rel geom.R
 //ac:noalloc
 func (e *Engine) verifyRegionBatch(sc *batchScratch, r *blockcache.Region, ci, pair int, qs []geom.Rect, rel geom.Relation) {
 	n := r.Len()
-	stride := 4 * e.dims
-	sb := e.sigBounds[ci*stride : (ci+1)*stride]
 	for _, q32 := range sc.match.QIdx[sc.match.QOff[pair]:sc.match.QOff[pair+1]] {
 		qi := int(q32)
 		q := qs[qi]
@@ -249,23 +193,14 @@ func (e *Engine) verifyRegionBatch(sc *batchScratch, r *blockcache.Region, ci, p
 		if n == 0 {
 			continue
 		}
-		bits := sc.ensureBits(n)
-		geom.InitBitmap(bits, n)
-		alive := n
-		for _, dd := range sc.orders[qi*e.dims : qi*e.dims+e.dims] {
-			if sig.BoundsImplyDim(rel, sb, dd, q.Min[dd], q.Max[dd]) {
-				continue
-			}
-			sc.meter.BytesVerified += int64(alive) * 8
-			alive = geom.FilterDim(rel, r.Lo[dd], r.Hi[dd], q.Min[dd], q.Max[dd], bits)
-			if alive == 0 {
-				break
-			}
-		}
+		bits := ensureBits(&sc.bits, r.BitmapWords())
+		dims := e.checkDims(&sc.dims, ci, q, rel, sc.orders[qi*e.dims:qi*e.dims+e.dims])
+		alive, checks := r.Filter(rel, dims, q.Min, q.Max, bits)
+		sc.meter.BytesVerified += checks * 8
 		if alive == 0 {
 			continue
 		}
 		sc.meter.Results += int64(alive)
-		sc.perQ[qi] = geom.AppendSurvivors(sc.perQ[qi], r.IDs, bits)
+		sc.perQ[qi] = r.AppendSurvivors(sc.perQ[qi], bits)
 	}
 }

@@ -1,9 +1,13 @@
 package diskengine
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"runtime"
 	"testing"
 
+	"accluster/internal/core"
 	"accluster/internal/geom"
 	"accluster/internal/store"
 )
@@ -59,5 +63,56 @@ func TestQueryRegionRotClassified(t *testing.T) {
 	}
 	if !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("rot error not classified: %v", err)
+	}
+}
+
+// TestResealedHostileDirectoryBounded pins the directory bounds behind the
+// checksums: a checkpoint whose cluster 0 claims a capacity of 1<<30 slots
+// — with the directory and header checksums re-sealed, so only the
+// structural checks can catch it — must fail diskengine.Open, store.Load
+// and store.Verify with ErrCorrupt, and none of them may allocate more than
+// a small multiple of the file size on the way.
+func TestResealedHostileDirectoryBounded(t *testing.T) {
+	ix, _ := buildCheckpoint(t, 3, 400)
+	src := store.NewMemDevice()
+	if err := store.Save(ix, src); err != nil {
+		t.Fatal(err)
+	}
+	size, _ := src.Size()
+	img := make([]byte, size)
+	if _, err := src.ReadAt(img, 0); err != nil {
+		t.Fatal(err)
+	}
+	// Version-2 layout: a 40-byte header whose bytes 16..20 hold the
+	// directory length, 20..24 the directory CRC and 36..40 the header
+	// CRC; the directory follows, with cluster 0's capacity at byte 8.
+	const headerV2 = 40
+	dirLen := binary.LittleEndian.Uint32(img[16:])
+	binary.LittleEndian.PutUint32(img[headerV2+8:], 1<<30)
+	binary.LittleEndian.PutUint32(img[20:], crc32.ChecksumIEEE(img[headerV2:headerV2+dirLen]))
+	binary.LittleEndian.PutUint32(img[36:], crc32.ChecksumIEEE(img[:36]))
+	dev := store.NewMemDevice()
+	if _, err := dev.WriteAt(img, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"diskengine.Open", func() error { _, err := Open(dev); return err }},
+		{"store.Load", func() error { _, err := store.Load(dev, core.Config{}); return err }},
+		{"store.Verify", func() error { return store.Verify(dev) }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.run()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, store.ErrCorrupt) {
+			t.Fatalf("%s: error not classified as ErrCorrupt: %v", c.name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*uint64(size)+64<<10 {
+			t.Fatalf("%s allocated %d bytes rejecting a %d-byte file", c.name, alloc, size)
+		}
 	}
 }

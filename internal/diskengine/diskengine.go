@@ -28,15 +28,18 @@
 //     multi-cluster query pays one seek per run instead of one per cluster.
 //     Each coalesced run charges one Seek and its full byte length
 //     (gaps included) as BytesTransferred, plus one CacheMiss per region.
-//   - Verification runs through the columnar batch kernels
-//     (geom.FilterIntersects/FilterContainedBy/FilterEncloses) over a pooled
-//     candidate bitmap, most selective dimensions first, with
-//     signature-implied column skips — identical accounting to the core
-//     engine (BytesVerified aggregates per-column survivor bytes).
+//   - Verification runs page by page over the decoded region
+//     (blockcache.Region.Filter, geom's per-dimension predicates): each
+//     page's candidate word goes through the dimensions most selective
+//     first, minus the signature-implied column skips, until it empties —
+//     identical accounting to the core engine (BytesVerified aggregates
+//     per-column survivor bytes).
 //
-// Steady-state queries whose regions are all cached allocate nothing: the
-// match list, bitmap, dimension order and read plan live in pooled per-query
-// scratch, and SearchIDsAppend reuses the caller's result buffer.
+// Steady-state queries allocate nothing, cache misses included: the match
+// list, bitmap, dimension order, read plan and run buffer live in pooled
+// per-query scratch, a missed region decodes into recycled pages drawn from
+// the cache's budget (blockcache.Cache.Alloc), and SearchIDsAppend reuses
+// the caller's result buffer.
 package diskengine
 
 import (
@@ -103,34 +106,119 @@ type Engine struct {
 }
 
 // searchScratch holds the per-query buffers of one in-flight selection so
-// the fully cached (hit) path allocates nothing.
+// the query path allocates nothing at steady state.
 //
 //ac:scratch
 type searchScratch struct {
-	matched []int32         // signature-matching cluster positions
-	miss    []int32         // matched positions absent from the cache
-	runs    []store.ReadRun // coalesced read plan over miss
-	buf     []byte          // device image of the run being processed
-	bits    []uint64        // candidate bitmap for the filter kernels
-	order   []int           // per-query dimension processing order
-	widths  []float32       // sort keys backing order
-	// local is the decode target reused across misses when the engine has
-	// no cache (with a cache, each miss decodes into a fresh Region that
-	// the cache may retain).
-	local *blockcache.Region
-	meter cost.Meter
+	matched []int32   // signature-matching cluster positions
+	misses  missPass  // coalesced read pass over the cache misses
+	bits    []uint64  // candidate bitmap for the filter kernels
+	order   []int     // per-query dimension processing order
+	widths  []float32 // sort keys backing order
+	dims    []int     // order minus the current region's signature-implied dimensions
+	meter   cost.Meter
 }
 
-// ensureBits returns the bitmap sized for n objects.
+// ensureBits returns a bitmap of w words.
 //
 //ac:noalloc
-func (sc *searchScratch) ensureBits(n int) []uint64 {
-	w := geom.BitmapWords(n)
-	if cap(sc.bits) < w {
-		//acvet:ignore noalloc amortized scratch growth; no alloc once bits reaches dataset size
-		sc.bits = make([]uint64, w)
+func ensureBits(bits *[]uint64, w int) []uint64 {
+	if cap(*bits) < w {
+		//acvet:ignore noalloc amortized scratch growth; no alloc once bits covers the largest region
+		*bits = make([]uint64, w)
 	}
-	return sc.bits[:w]
+	return (*bits)[:w]
+}
+
+// missPass is the coalesced miss pass shared by single and batched
+// selections: the cache-missed cluster positions, the seek-sorted read plan
+// over them, and the device image of the run being decoded.
+type missPass struct {
+	miss []int32         // matched positions absent from the cache
+	runs []store.ReadRun // coalesced read plan over miss
+	buf  []byte          // device image of the current run
+	run  int             // run of the next region
+	k    int             // position of the next region within its run
+	// local is the decode target reused across misses when the engine has
+	// no cache.
+	local *blockcache.Region
+}
+
+// planMisses plans coalesced reads over the missed regions (sorted by
+// device offset) and rewinds the pass to its first region.
+//
+//ac:noalloc
+func (e *Engine) planMisses(mp *missPass) {
+	mp.runs = store.PlanReadRuns(e.dir, mp.miss, e.dims, e.maxGap, mp.runs[:0])
+	mp.run, mp.k = 0, 0
+}
+
+// nextMiss returns the pass's next region decoded — pinned in the cache, or
+// the scratch region without one; the caller releases it after verifying —
+// and its cluster position. A run is read from the device when its first
+// region is reached, so a caller that stops early leaves later runs unread
+// and uncharged. Each run charges one Seek and its byte length to m, each
+// region one CacheMiss. The region is nil once the pass is exhausted or on
+// error.
+//
+//ac:noalloc
+func (e *Engine) nextMiss(mp *missPass, m *cost.Meter) (*blockcache.Region, int32, error) {
+	if mp.run == len(mp.runs) {
+		return nil, 0, nil
+	}
+	run := mp.runs[mp.run]
+	if mp.k == 0 {
+		if int64(cap(mp.buf)) < run.Bytes {
+			//acvet:ignore noalloc amortized read-buffer growth to the largest coalesced run
+			mp.buf = make([]byte, run.Bytes)
+		}
+		if _, err := e.dev.ReadAt(mp.buf[:run.Bytes], run.Offset); err != nil {
+			//acvet:ignore noalloc cold device-failure path
+			return nil, 0, fmt.Errorf("diskengine: read run at %d: %w", run.Offset, err)
+		}
+		m.Seeks++
+		m.BytesTransferred += run.Bytes
+	}
+	ci := mp.miss[run.First+mp.k]
+	if mp.k++; mp.k == run.N {
+		mp.run, mp.k = mp.run+1, 0
+	}
+	ent := e.dir[ci]
+	img := mp.buf[ent.Offset-run.Offset : ent.Offset-run.Offset+int64(ent.RegionBytes(e.dims))]
+	// Validate before taking storage: every region drawn from the cache
+	// is then filled and handed back through Put.
+	if err := store.CheckRegionImage(img, ent, e.dims); err != nil {
+		return nil, 0, err
+	}
+	var r *blockcache.Region
+	if e.cache != nil {
+		r = e.cache.Alloc(ent.Count, e.dims)
+	} else {
+		if mp.local == nil {
+			//acvet:ignore noalloc one-time lazy init of the cacheless scratch region
+			mp.local = new(blockcache.Region)
+		}
+		r = mp.local
+		r.Reset(ent.Count, e.dims)
+	}
+	for p, pg := range r.Pages() {
+		ids, cols := pg.Columns()
+		store.DecodeRegionColumns(img, ent, e.dims, p*blockcache.PageSlots, ids, cols, blockcache.PageSlots)
+	}
+	if e.cache != nil {
+		m.CacheMisses++
+		r = e.cache.Put(blockcache.Key{Gen: e.gen, Cluster: ci}, r)
+	}
+	return r, ci, nil
+}
+
+// release unpins a region obtained from the cache or nextMiss.
+//
+//ac:noalloc
+func (e *Engine) release(r *blockcache.Region) {
+	if e.cache != nil {
+		e.cache.Unpin(r)
+	}
 }
 
 // Open reads and validates the directory of a database written by
@@ -244,7 +332,7 @@ func (e *Engine) SearchIDs(q geom.Rect, rel geom.Relation) ([]uint32, error) {
 
 // SearchIDsAppend appends the identifiers of all qualifying objects to dst
 // and returns the extended slice. With a reused dst of sufficient capacity a
-// fully cached selection allocates nothing.
+// steady-state selection allocates nothing, cache misses included.
 //
 //ac:noalloc
 func (e *Engine) SearchIDsAppend(dst []uint32, q geom.Rect, rel geom.Relation) ([]uint32, error) {
@@ -275,13 +363,16 @@ func (e *Engine) search(q geom.Rect, rel geom.Relation, emit func(id uint32) boo
 		sc.order = make([]int, e.dims)
 		//acvet:ignore noalloc amortized scratch growth; no alloc once widths fits query dims
 		sc.widths = make([]float32, e.dims)
+		//acvet:ignore noalloc amortized scratch growth; no alloc once dims fits query dims
+		sc.dims = make([]int, 0, e.dims)
 	}
 	order := geom.QueryDimOrder(sc.order[:e.dims], sc.widths[:e.dims], q, rel)
 
 	// Hit pass: verify every cached region first — free of I/O, so an
 	// early stop may finish the query without touching the device. Misses
 	// are deferred to the coalesced read pass.
-	sc.miss = sc.miss[:0]
+	mp := &sc.misses
+	mp.miss = mp.miss[:0]
 	stopped := false
 	for _, ci := range sc.matched {
 		if e.cache != nil {
@@ -298,72 +389,49 @@ func (e *Engine) search(q geom.Rect, rel geom.Relation, emit func(id uint32) boo
 				continue
 			}
 		}
-		sc.miss = append(sc.miss, ci)
+		mp.miss = append(mp.miss, ci)
 	}
+	// Miss pass: read run by run, verifying each region as it arrives — an
+	// early stop leaves later runs unread and uncharged.
 	var err error
-	if !stopped && len(sc.miss) > 0 {
-		err = e.readAndVerify(sc, q, rel, order, emit, out, count)
+	if !stopped && len(mp.miss) > 0 {
+		e.planMisses(mp)
+		for {
+			var r *blockcache.Region
+			var ci int32
+			if r, ci, err = e.nextMiss(mp, &sc.meter); r == nil {
+				break
+			}
+			sc.meter.Explorations++
+			sc.meter.ObjectsVerified += int64(r.Len())
+			keep := e.verifyRegion(sc, r, int(ci), q, rel, order, emit, out, count)
+			e.release(r)
+			if !keep {
+				break
+			}
+		}
 	}
 	e.meter.Merge(sc.meter)
 	e.scratch.Put(sc)
 	return err
 }
 
-// readAndVerify runs the miss pass: plan coalesced reads over the missed
-// regions (sorted by device offset), then read run by run, decoding and
-// verifying each region as it arrives — an early stop leaves later runs
-// unread and uncharged. Decoded regions are offered to the cache.
+// checkDims fills dims with the query's dimensions in processing order,
+// minus those cluster ci's signature proves every member passes — the
+// signature-implied column skips (sig.BoundsImplyDim, shared with the
+// in-memory engine).
 //
 //ac:noalloc
-func (e *Engine) readAndVerify(sc *searchScratch, q geom.Rect, rel geom.Relation, order []int, emit func(id uint32) bool, out *[]uint32, count *int) error {
-	sc.runs = store.PlanReadRuns(e.dir, sc.miss, e.dims, e.maxGap, sc.runs[:0])
-	for _, run := range sc.runs {
-		if int64(cap(sc.buf)) < run.Bytes {
-			//acvet:ignore noalloc amortized read-buffer growth to the largest coalesced run
-			sc.buf = make([]byte, run.Bytes)
-		}
-		buf := sc.buf[:run.Bytes]
-		if _, err := e.dev.ReadAt(buf, run.Offset); err != nil {
-			//acvet:ignore noalloc cold device-failure path
-			return fmt.Errorf("diskengine: read run at %d: %w", run.Offset, err)
-		}
-		sc.meter.Seeks++
-		sc.meter.BytesTransferred += run.Bytes
-		for k := 0; k < run.N; k++ {
-			ci := sc.miss[run.First+k]
-			ent := e.dir[ci]
-			img := buf[ent.Offset-run.Offset : ent.Offset-run.Offset+int64(ent.RegionBytes(e.dims))]
-			var r *blockcache.Region
-			if e.cache != nil {
-				//acvet:ignore noalloc cache-miss region insert; the pinned warm path is all hits
-				r = new(blockcache.Region)
-			} else {
-				if sc.local == nil {
-					//acvet:ignore noalloc one-time lazy init of the cacheless scratch region
-					sc.local = new(blockcache.Region)
-				}
-				r = sc.local
-			}
-			r.Reset(ent.Count, e.dims)
-			if err := store.DecodeRegionColumns(img, ent, e.dims, r.IDs, r.Lo, r.Hi); err != nil {
-				return err
-			}
-			if e.cache != nil {
-				sc.meter.CacheMisses++
-				r = e.cache.Put(blockcache.Key{Gen: e.gen, Cluster: ci}, r)
-			}
-			sc.meter.Explorations++
-			sc.meter.ObjectsVerified += int64(ent.Count)
-			keep := e.verifyRegion(sc, r, int(ci), q, rel, order, emit, out, count)
-			if e.cache != nil {
-				e.cache.Unpin(r)
-			}
-			if !keep {
-				return nil
-			}
+func (e *Engine) checkDims(dims *[]int, ci int, q geom.Rect, rel geom.Relation, order []int) []int {
+	stride := 4 * e.dims
+	sb := e.sigBounds[ci*stride : (ci+1)*stride]
+	*dims = (*dims)[:0]
+	for _, dd := range order {
+		if !sig.BoundsImplyDim(rel, sb, dd, q.Min[dd], q.Max[dd]) {
+			*dims = append(*dims, dd)
 		}
 	}
-	return nil
+	return *dims
 }
 
 // verifyRegion narrows the region's members through the columnar filter
@@ -376,24 +444,9 @@ func (e *Engine) verifyRegion(sc *searchScratch, r *blockcache.Region, ci int, q
 	if n == 0 {
 		return true
 	}
-	bits := sc.ensureBits(n)
-	geom.InitBitmap(bits, n)
-	alive := n
-	stride := 4 * e.dims
-	sb := e.sigBounds[ci*stride : (ci+1)*stride]
-	for _, dd := range order {
-		// Signature-implied skip: the cluster's variation intervals prove
-		// every member passes this dimension, so the column scan is a
-		// no-op (sig.BoundsImplyDim, shared with the in-memory engine).
-		if sig.BoundsImplyDim(rel, sb, dd, q.Min[dd], q.Max[dd]) {
-			continue
-		}
-		sc.meter.BytesVerified += int64(alive) * 8
-		alive = geom.FilterDim(rel, r.Lo[dd], r.Hi[dd], q.Min[dd], q.Max[dd], bits)
-		if alive == 0 {
-			break
-		}
-	}
+	bits := ensureBits(&sc.bits, r.BitmapWords())
+	alive, checks := r.Filter(rel, e.checkDims(&sc.dims, ci, q, rel, order), q.Min, q.Max, bits)
+	sc.meter.BytesVerified += checks * 8
 	if alive == 0 {
 		return true
 	}
@@ -404,16 +457,14 @@ func (e *Engine) verifyRegion(sc *searchScratch, r *blockcache.Region, ci int, q
 	}
 	if out != nil {
 		sc.meter.Results += int64(alive)
-		*out = geom.AppendSurvivors(*out, r.IDs, bits)
+		*out = r.AppendSurvivors(*out, bits)
 		return true
 	}
-	for w, word := range bits {
-		base := w << 6
-		for word != 0 {
-			j := mbits.TrailingZeros64(word)
-			word &= word - 1
+	for p, pg := range r.Pages() {
+		ids := pg.IDs()
+		for word := bits[p]; word != 0; word &= word - 1 {
 			sc.meter.Results++
-			if !emit(r.IDs[base+j]) {
+			if !emit(ids[mbits.TrailingZeros64(word)]) {
 				return false
 			}
 		}

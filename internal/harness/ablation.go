@@ -202,7 +202,7 @@ func RunConvergence(o Options) (*Experiment, error) {
 	return exp, nil
 }
 
-// Run dispatches an experiment by its DESIGN.md identifier.
+// Run dispatches an experiment by its identifier (one of Experiments).
 func Run(id string, o Options) (*Experiment, error) {
 	switch id {
 	case "fig7":

@@ -1,5 +1,6 @@
 // Package harness regenerates every figure and table of the paper's
-// evaluation (§7) plus the ablations called out in DESIGN.md. Experiments
+// evaluation (§7) plus ablations and extensions (Experiments lists them
+// all; the README's Benchmarks section shows how to run them). Experiments
 // build the competing access methods (Adaptive Clustering, Sequential Scan,
 // R*-tree, and the MBB-grouping ablation) over generated workloads, run
 // warm-up queries so the adaptive clustering converges (the paper reports

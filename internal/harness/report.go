@@ -18,9 +18,9 @@ type Point struct {
 	Results map[string]MethodResult
 }
 
-// Experiment is the reproduced artifact: an identifier matching DESIGN.md's
-// per-experiment index, a title, the swept points, and the method names in
-// display order.
+// Experiment is the reproduced artifact: an identifier accepted by Run (see
+// Experiments), a title, the swept points, and the method names in display
+// order.
 type Experiment struct {
 	ID      string
 	Title   string

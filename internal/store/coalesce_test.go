@@ -2,6 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -204,53 +208,85 @@ func TestReadRegionIntoReusesBuffers(t *testing.T) {
 	}
 }
 
+// TestDecodeRegionColumnsMatchesReadRegion checks the paged column decoder
+// against the row-major ReadRegion on random region images whose
+// coordinates include NaNs with payloads, ±Inf, −0 and denormals, with
+// Count < Capacity and decode ranges of every alignment — every float must
+// come out bit-identical — and that CheckRegionImage rejects a corrupt or
+// truncated image.
 func TestDecodeRegionColumnsMatchesReadRegion(t *testing.T) {
-	dev, dir := planCheckpoint(t, 4, 2000)
-	for _, e := range dir {
-		img := make([]byte, e.RegionBytes(4))
-		if _, err := dev.ReadAt(img, e.Offset); err != nil {
+	specials := []uint32{
+		0x7FC00000, 0x7FC12345, 0xFFA00001, 0x7F800001, // NaNs with payloads, quiet and signalling
+		0x7F800000, 0xFF800000, // ±Inf
+		0x80000000, 0x00000000, // −0, +0
+		0x00000001, 0x807FFFFF, 0x00400000, // denormals
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		dims := 1 + rng.Intn(17)
+		capacity := 1 + rng.Intn(150)
+		count := rng.Intn(capacity + 1)
+		img := make([]byte, regionSize(capacity, dims))
+		for i := 0; i < len(img); i += 4 {
+			v := rng.Uint32()
+			if i >= capacity*4 && rng.Intn(3) == 0 {
+				v = specials[rng.Intn(len(specials))]
+			}
+			binary.LittleEndian.PutUint32(img[i:], v)
+		}
+		const off = 4096 // regions never start at 0
+		e := DirEntry{Count: count, Capacity: capacity, Offset: off, CRC: crc32.ChecksumIEEE(img)}
+		dev := NewMemDevice()
+		if _, err := dev.WriteAt(img, off); err != nil {
 			t.Fatal(err)
 		}
-		ids := make([]uint32, e.Count)
-		lo := make([][]float32, 4)
-		hi := make([][]float32, 4)
-		for d := range lo {
-			lo[d] = make([]float32, e.Count)
-			hi[d] = make([]float32, 4*e.Count)[:e.Count]
-		}
-		if err := DecodeRegionColumns(img, e, 4, ids, lo, hi); err != nil {
-			t.Fatal(err)
-		}
-		wantIDs, wantData, err := ReadRegion(dev, e, 4)
+		wantIDs, wantData, err := ReadRegion(dev, e, dims)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range ids {
-			if ids[i] != wantIDs[i] {
-				t.Fatal("ids differ")
-			}
-			for d := 0; d < 4; d++ {
-				if lo[d][i] != wantData[i*8+2*d] || hi[d][i] != wantData[i*8+2*d+1] {
-					t.Fatalf("cluster at %d: column transpose mismatch at member %d dim %d", e.Offset, i, d)
+		if err := CheckRegionImage(img, e, dims); err != nil {
+			t.Fatal(err)
+		}
+		// Decode in random chunks, each into its own column block.
+		for first := 0; first < count; {
+			n := min(count-first, 1+rng.Intn(40))
+			stride := n + rng.Intn(8)
+			ids := make([]uint32, n)
+			cols := make([]float32, 2*dims*stride)
+			DecodeRegionColumns(img, e, dims, first, ids, cols, stride)
+			for k := 0; k < n; k++ {
+				m := first + k
+				if ids[k] != wantIDs[m] {
+					t.Fatalf("trial %d: member %d id %d, want %d", trial, m, ids[k], wantIDs[m])
+				}
+				for d := 0; d < dims; d++ {
+					lo, hi := cols[2*d*stride+k], cols[(2*d+1)*stride+k]
+					wlo, whi := wantData[m*2*dims+2*d], wantData[m*2*dims+2*d+1]
+					if math.Float32bits(lo) != math.Float32bits(wlo) || math.Float32bits(hi) != math.Float32bits(whi) {
+						t.Fatalf("trial %d: member %d dim %d decoded %08x/%08x, want %08x/%08x", trial, m, d,
+							math.Float32bits(lo), math.Float32bits(hi), math.Float32bits(wlo), math.Float32bits(whi))
+					}
 				}
 			}
+			first += n
 		}
 	}
 	// Corruption must be detected: flip a byte, keep the stale CRC.
+	dev, dir := planCheckpoint(t, 4, 2000)
 	e := dir[0]
 	img := make([]byte, e.RegionBytes(4))
 	if _, err := dev.ReadAt(img, e.Offset); err != nil {
 		t.Fatal(err)
 	}
+	if err := CheckRegionImage(img, e, 4); err != nil {
+		t.Fatal(err)
+	}
 	img[len(img)-1] ^= 0xFF
-	ids := make([]uint32, e.Count)
-	lo := [][]float32{make([]float32, e.Count), make([]float32, e.Count), make([]float32, e.Count), make([]float32, e.Count)}
-	hi := [][]float32{make([]float32, e.Count), make([]float32, e.Count), make([]float32, e.Count), make([]float32, e.Count)}
-	if err := DecodeRegionColumns(img, e, 4, ids, lo, hi); err == nil {
-		t.Fatal("corrupt image must fail the checksum")
+	if err := CheckRegionImage(img, e, 4); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("corrupt image must fail the checksum, got %v", err)
 	}
 	// A wrong-size image must be rejected before the checksum.
-	if err := DecodeRegionColumns(img[:len(img)-4], e, 4, ids, lo, hi); err == nil {
-		t.Fatal("truncated image must be rejected")
+	if err := CheckRegionImage(img[:len(img)-4], e, 4); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated image must be rejected, got %v", err)
 	}
 }

@@ -65,8 +65,13 @@ type header struct {
 	statsLen       int
 	statsCRC       uint32
 	divisionFactor int
-	size           int // header bytes on device
+	size           int   // header bytes on device
+	devSize        int64 // device bytes
 }
+
+// dataStart returns the device offset of the region area, which follows
+// the header, the directory and the statistics block.
+func (h header) dataStart() int64 { return int64(h.size + h.dirLen + h.statsLen) }
 
 // ErrCorrupt is the sentinel matched by errors.Is for every integrity
 // failure (checksum mismatch, truncation, implausible geometry) detected by
@@ -260,8 +265,14 @@ type DirEntry struct {
 func (e DirEntry) RegionBytes(dims int) int { return regionSize(e.Capacity, dims) }
 
 // readHeader decodes and validates the device header of either format
-// version.
+// version. Every length it returns is bounded by the device size, so a
+// checksum-valid but hostile header cannot make a reader allocate more than
+// the device holds.
 func readHeader(dev Device) (header, error) {
+	devSize, err := dev.Size()
+	if err != nil {
+		return header{}, fmt.Errorf("store: device size: %w", err)
+	}
 	// The version field decides the header size; peek the fixed prefix
 	// first.
 	pre := make([]byte, 8)
@@ -296,10 +307,17 @@ func readHeader(dev Device) (header, error) {
 		h.statsCRC = binary.LittleEndian.Uint32(head[28:])
 		h.divisionFactor = int(binary.LittleEndian.Uint32(head[32:]))
 	}
+	h.devSize = devSize
 	if h.dims < 1 || h.nClusters < 1 {
 		return header{}, corrupt("implausible geometry: dims=%d clusters=%d", h.dims, h.nClusters)
 	}
-	if h.dirLen != h.nClusters*entrySize(h.dims) {
+	// Bound the lengths by the device before multiplying or allocating:
+	// the directory and the statistics block must fit behind the header.
+	room := devSize - int64(h.size)
+	if int64(h.dirLen) > room || int64(h.statsLen) > room-int64(h.dirLen) {
+		return header{}, corrupt("directory (%d bytes) and statistics (%d bytes) exceed the %d-byte device", h.dirLen, h.statsLen, devSize)
+	}
+	if h.dims > h.dirLen/16 || h.nClusters > h.dirLen/entrySize(h.dims) || h.dirLen != h.nClusters*entrySize(h.dims) {
 		return header{}, corrupt("directory length %d does not match %d clusters", h.dirLen, h.nClusters)
 	}
 	return h, nil
@@ -332,6 +350,10 @@ func readDirEntries(dev Device, h header) ([]DirEntry, error) {
 	}
 	es := entrySize(dims)
 	entries := make([]DirEntry, nClusters)
+	// Regions follow the metadata in directory order without overlap and
+	// end within the device, so reading every region allocates at most
+	// the device size in total.
+	next := h.dataStart()
 	for i := 0; i < nClusters; i++ {
 		e := dir[i*es:]
 		entry := DirEntry{
@@ -341,9 +363,14 @@ func readDirEntries(dev Device, h header) ([]DirEntry, error) {
 			Offset:   int64(binary.LittleEndian.Uint64(e[12:])),
 			CRC:      binary.LittleEndian.Uint32(e[20:]),
 		}
-		if entry.Count > entry.Capacity || entry.Capacity > 1<<30 {
+		if entry.Count > entry.Capacity {
 			return nil, corrupt("cluster %d: count %d exceeds capacity %d", i, entry.Count, entry.Capacity)
 		}
+		if int64(entry.Capacity) > (h.devSize-next)/int64(regionSize(1, dims)) ||
+			entry.Offset < next || entry.Offset > h.devSize-int64(entry.RegionBytes(dims)) {
+			return nil, corrupt("cluster %d: region of %d slots at %d lies outside the data area [%d, %d)", i, entry.Capacity, entry.Offset, next, h.devSize)
+		}
+		next = entry.Offset + int64(entry.RegionBytes(dims))
 		s := sig.Root(dims)
 		sigBase := 24
 		for d := 0; d < dims; d++ {
@@ -403,36 +430,45 @@ func ReadRegionInto(dev Device, e DirEntry, dims int, ids []uint32, data []float
 	return ids, data, nil
 }
 
-// DecodeRegionColumns validates a region image (the exact on-device bytes of
-// e's region, e.g. one slice of a coalesced read) and decodes the live
-// members into caller-provided structure-of-arrays columns: ids[k] with
-// lo[d][k], hi[d][k]. ids must have length e.Count and lo/hi must hold dims
-// columns of that length — the layout internal/blockcache.Region.Reset
-// prepares. The transpose from the device's row-major record layout happens
-// here, once per device read, so every verification over the decoded region
-// runs on contiguous columns.
-func DecodeRegionColumns(region []byte, e DirEntry, dims int, ids []uint32, lo, hi [][]float32) error {
+// CheckRegionImage validates a region image — the exact on-device bytes of
+// e's region, e.g. one slice of a coalesced read — against the region's
+// size and checksum. DecodeRegionColumns requires an image that passed it.
+func CheckRegionImage(region []byte, e DirEntry, dims int) error {
 	if len(region) != regionSize(e.Capacity, dims) {
 		return corrupt("region image at %d has %d bytes, want %d", e.Offset, len(region), regionSize(e.Capacity, dims))
 	}
 	if crc32.ChecksumIEEE(region) != e.CRC {
 		return corrupt("region checksum mismatch at %d", e.Offset)
 	}
-	for k := 0; k < e.Count; k++ {
-		ids[k] = binary.LittleEndian.Uint32(region[k*4:])
+	return nil
+}
+
+// DecodeRegionColumns decodes the live members [first, first+len(ids)) of a
+// region image validated by CheckRegionImage into caller-provided
+// structure-of-arrays columns: member first+k's id goes to ids[k], its
+// interval start in dimension d to cols[2d·stride+k] and its interval end
+// to cols[(2d+1)·stride+k] — the page layout of internal/blockcache, whose
+// pages take one call each. The transpose from the device's row-major
+// record layout happens here, once per device read, so every verification
+// over the decoded region runs on contiguous columns. Each (lo,hi) pair is
+// adjacent on the device and moves with one 8-byte load.
+func DecodeRegionColumns(region []byte, e DirEntry, dims, first int, ids []uint32, cols []float32, stride int) {
+	n := len(ids)
+	for k := range ids {
+		ids[k] = binary.LittleEndian.Uint32(region[(first+k)*4:])
 	}
-	coordBase := e.Capacity * 4
-	stride := 2 * dims * 4
+	rec := 8 * dims
+	recs := region[e.Capacity*4+first*rec : e.Capacity*4+(first+n)*rec]
 	for d := 0; d < dims; d++ {
-		loCol, hiCol := lo[d][:e.Count], hi[d][:e.Count]
-		base := coordBase + 2*d*4
-		for k := 0; k < e.Count; k++ {
-			off := base + k*stride
-			loCol[k] = math.Float32frombits(binary.LittleEndian.Uint32(region[off:]))
-			hiCol[k] = math.Float32frombits(binary.LittleEndian.Uint32(region[off+4:]))
+		lo := cols[2*d*stride : 2*d*stride+n]
+		hi := cols[(2*d+1)*stride : (2*d+1)*stride+n]
+		hi = hi[:len(lo)]
+		for k, off := 0, 8*d; k < len(lo); k, off = k+1, off+rec {
+			v := binary.LittleEndian.Uint64(recs[off:])
+			lo[k] = math.Float32frombits(uint32(v))
+			hi[k] = math.Float32frombits(uint32(v >> 32))
 		}
 	}
-	return nil
 }
 
 // Load validates the device content and rebuilds the index. cfg supplies the

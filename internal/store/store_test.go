@@ -21,7 +21,7 @@ func randomRect(rng *rand.Rand, dims int, maxSize float32) geom.Rect {
 }
 
 // buildIndex returns a clustered index with live statistics.
-func buildIndex(t *testing.T, dims, n int) *core.Index {
+func buildIndex(t testing.TB, dims, n int) *core.Index {
 	t.Helper()
 	ix, err := core.New(core.Config{Dims: dims, ReorgEvery: 30})
 	if err != nil {

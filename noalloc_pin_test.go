@@ -140,6 +140,18 @@ func TestNoAllocAnnotatedPaths(t *testing.T) {
 	defer d.Close()
 	ddst := make([]uint32, 0, 4096)
 
+	// Churning disk fixture: the same checkpoint behind a region cache of
+	// about a quarter of the data, so most explorations miss, decode into
+	// recycled pages and evict — the miss path must allocate nothing once
+	// the cache's page pool has grown to its budget.
+	churn, err := OpenDisk(path, WithDiskCache(3000*int64(geom.ObjectBytes(4))/4), WithReadahead(128<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer churn.Close()
+	cdst4 := make([]uint32, 0, 4096)
+	cbr := new(BatchResult)
+
 	// Batch fixtures: reused query batches and result carriers (the batch
 	// plane's contract is zero steady-state allocations with reused buffers).
 	qs4 := make([]Rect, 8)
@@ -248,7 +260,18 @@ func TestNoAllocAnnotatedPaths(t *testing.T) {
 		}
 	}
 
-	for _, e := range entries {
+	// The churn entries rotate through the batch queries one at a time,
+	// so consecutive calls explore different clusters; they repeat keys
+	// of the table above and are not part of the drift check.
+	qi := 0
+	nextQ := func() Rect { qi++; return qs4[qi%len(qs4)] }
+	churnEntries := []noallocEntry{
+		{"accluster.Disk.SearchIDsAppend (cache churn)", func() { cdst4, runErr = churn.SearchIDsAppend(cdst4[:0], nextQ(), Intersects) }},
+		{"accluster.Disk.Count (cache churn)", func() { _, runErr = churn.Count(nextQ(), Intersects) }},
+		{"accluster.Disk.SearchIDsBatch (cache churn)", func() { _, runErr = churn.SearchIDsBatch(cbr, qs4[qi%4:qi%4+4], Intersects); qi++ }},
+	}
+
+	for _, e := range append(entries, churnEntries...) {
 		for i := 0; i < 50; i++ { // warm pools, caches and append buffers
 			e.run()
 		}
@@ -261,5 +284,8 @@ func TestNoAllocAnnotatedPaths(t *testing.T) {
 		if runErr != nil {
 			t.Fatalf("%s: %v", e.key, runErr)
 		}
+	}
+	if cs := churn.CacheStats(); cs.Evictions == 0 || cs.Misses <= cs.Hits || cs.UsedBytes > cs.BudgetBytes {
+		t.Errorf("churn fixture did not churn within its budget: %+v", cs)
 	}
 }
