@@ -522,3 +522,43 @@ func idsUpTo(n int) []uint32 {
 	}
 	return ids
 }
+
+// TestMixedDimensionalityRecycling shares one cache between regions of two
+// dimensionalities, as engines over different checkpoints may: a free page
+// laid out for the other dimensionality must be released rather than
+// reused, with the accounting exact after every step.
+func TestMixedDimensionalityRecycling(t *testing.T) {
+	c := New(3 * mkRegion(40, 5, 0).Bytes())
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 400; i++ {
+		k := Key{Gen: 1, Cluster: int32(rng.Intn(12))}
+		dims := 2 + 3*int(k.Cluster%2) // even clusters 2-d, odd ones 5-d
+		n := 5 + int(k.Cluster)*4
+		r, ok := c.Get(k)
+		if !ok {
+			r = c.Alloc(n, dims)
+			inFlight := int64(0)
+			if r.owner == c {
+				inFlight = r.Bytes()
+			}
+			c.audit(t, r, inFlight)
+			fillRegion(r, dims, float32(k.Cluster))
+			r = c.Put(k, r)
+		}
+		for _, pg := range r.Pages() {
+			if pg.dims() != dims {
+				t.Fatalf("step %d: region %d has a %d-d page, want %d-d", i, k.Cluster, pg.dims(), dims)
+			}
+			for _, v := range pageLo(pg, dims-1) {
+				if v != float32(k.Cluster) {
+					t.Fatalf("step %d: region %d holds %g", i, k.Cluster, v)
+				}
+			}
+		}
+		c.Unpin(r)
+		c.audit(t, nil, 0)
+	}
+	if st := c.Stats(); st.Evictions == 0 || st.Hits == 0 {
+		t.Fatalf("test exercised nothing: %+v", st)
+	}
+}
