@@ -19,8 +19,9 @@ import (
 //   - candidate clusters are grouped across queries, so each explored
 //     cluster's columns are verified against every interested query while
 //     they are hot in cache,
-//   - the whole batch travels through the statistics mailbox as one
-//     publication and costs one drain.
+//   - the whole batch records one statistics delta (publish.go), applied at
+//     once by an exclusive caller or queued as one mailbox entry — one
+//     drain — by a concurrent one.
 //
 // Per-query observable state is preserved exactly: each query's result set,
 // its cost-meter increments and its statistics increments (cluster Q,
@@ -31,21 +32,15 @@ import (
 
 // batchScratch holds the per-batch buffers of one in-flight batched
 // selection, pooled like searchScratch so steady-state batches allocate
-// nothing. It travels with the batch statistics delta through the
-// publication mailbox and returns to the pool once the delta is applied.
+// nothing. Like searchScratch it returns to the pool once its statistics
+// delta is applied — at once for an exclusive caller, after the mailbox
+// drain for a concurrent one.
 //
 //ac:scratch
 type batchScratch struct {
 	bq    sig.BatchQueries // query-coordinate SoA of the batch
 	match sig.BatchMatch   // cluster-major signature matches
 	qbits []uint64         // query-survivor bitmap of the signature pass
-
-	// Query-major transpose of match: qcIdx[qcOff[qi]:qcOff[qi+1]] are the
-	// statistics-record indices (positions in match.QIdx and stats.d) of
-	// query qi's matched clusters, in ascending cluster order — the order
-	// matchClusters would have returned.
-	qcOff []int32
-	qcIdx []int32
 
 	orders []int     // flat nq×dims per-query dimension orders
 	widths []float32 // sort keys backing orders
@@ -54,26 +49,7 @@ type batchScratch struct {
 	bits []uint64   // member-verification bitmap
 
 	meter cost.Meter // the whole batch's operation counts
-	stats batchDelta // the whole batch's deferred statistics publication
-}
-
-// batchDelta is the statistics publication a batch owes: statDelta's flat
-// cluster/candidate record, one record per (cluster,query) signature match,
-// laid out cluster-major — record j is the j-th entry of the kernel's
-// cluster-major match, so recording walks each cluster's candidate columns
-// once, hot, for all its interested queries. The query-major view needed to
-// replay the increments query by query (each query's cluster Q and candidate
-// q bumps followed by its window tick and epoch trigger, exactly the looped
-// single-query order) is the scratch's qcOff/qcIdx transpose, whose entries
-// index these records.
-type batchDelta struct {
-	nq int
-	d  statDelta
-}
-
-func (bd *batchDelta) reset() {
-	bd.nq = 0
-	bd.d.reset()
+	stats statDelta  // the whole batch's statistics publication
 }
 
 // ensureBits returns the member-verification bitmap sized for n objects.
@@ -147,16 +123,19 @@ func (ix *Index) SearchBatchRead(dst *geom.IDBatch, qs []geom.Rect, rel geom.Rel
 		return nil
 	}
 	bc := ix.getBatchScratch()
-	ix.batchRead(bc, qs, rel, dst, false)
+	ix.batchRead(bc, qs, rel, dst)
 	ix.meter.Merge(bc.meter)
-	ix.enqueueBatchStats(bc)
+	ix.enqueueStats(statPub{bc: bc})
 	return nil
 }
 
 // SearchIDsBatch is SearchBatchRead for exclusive-access callers: the batch
-// statistics apply inline — replayed query by query, window ticks and epoch
-// triggers interleaved exactly as the serial single-query loop would — and
-// each query pays its budgeted slice of pending reorganization work.
+// statistics delta is applied as soon as the read phase ends — window ticks
+// and epoch triggers interleaved exactly as the looped exclusive singles
+// would — and each query pays its budgeted slice of pending reorganization
+// work.
+//
+//ac:noalloc
 func (ix *Index) SearchIDsBatch(dst *geom.IDBatch, qs []geom.Rect, rel geom.Relation) error {
 	if err := ix.validateBatch(qs, rel); err != nil {
 		return err
@@ -167,40 +146,22 @@ func (ix *Index) SearchIDsBatch(dst *geom.IDBatch, qs []geom.Rect, rel geom.Rela
 		return nil
 	}
 	bc := ix.getBatchScratch()
-	// With no epoch boundary inside the batch and no pending
-	// reorganization work to interleave, the per-query statistics replay
-	// is order-independent (syncStats is idempotent within an epoch, the
-	// increments commute), so the read pass applies the increments
-	// directly — the looped exclusive path's sc.direct mode, cluster-major
-	// — instead of recording and replaying them.
-	direct := len(ix.reorgQ) == 0 && ix.sinceReorg+len(qs) < ix.cfg.ReorgEvery
-	ix.batchRead(bc, qs, rel, dst, direct)
+	ix.batchRead(bc, qs, rel, dst)
 	ix.meter.Merge(bc.meter)
-	if direct {
-		ix.window += float64(len(qs))
-		ix.sinceReorg += len(qs)
-	} else {
-		for qi := 0; qi < len(qs); qi++ {
-			ix.applyBatchQuery(bc, qi)
-			if !ix.cfg.BackgroundReorg && len(ix.reorgQ) > 0 {
-				ix.drain(ix.cfg.ReorgBudgetClusters, ix.cfg.ReorgBudgetObjects)
-			}
-		}
-	}
+	ix.applyStats(&bc.stats, true)
 	ix.putBatchScratch(bc)
 	return nil
 }
 
-// batchRead is the read phase of a batched selection. With direct unset it
-// touches no index state that mutations change and records every side effect
-// into the batch scratch, so any number of read phases (single or batched)
-// may run concurrently. With direct set — exclusive callers only, and only
-// when no epoch boundary falls inside the batch — the per-cluster statistics
-// apply inline during the cluster-major walk (the single-query sc.direct
-// mode) and the recording, transpose and replay passes are skipped entirely.
+// batchRead is the read phase of a batched selection. It touches no index
+// state that mutations change and records every side effect into the batch
+// scratch — operation counts into bc.meter, statistics increments into
+// bc.stats, one record per (cluster,query) match in the kernel's
+// cluster-major order — so any number of read phases (single or batched)
+// may run concurrently.
 //
 //ac:noalloc
-func (ix *Index) batchRead(bc *batchScratch, qs []geom.Rect, rel geom.Relation, dst *geom.IDBatch, direct bool) {
+func (ix *Index) batchRead(bc *batchScratch, qs []geom.Rect, rel geom.Relation, dst *geom.IDBatch) {
 	ix.readers.Add(1)
 	defer ix.readers.Add(-1)
 	nq := len(qs)
@@ -221,48 +182,9 @@ func (ix *Index) batchRead(bc *batchScratch, qs []geom.Rect, rel geom.Relation, 
 	sig.MatchBoundsBatch(ix.sigBounds, nc, dims, &bc.bq, rel, ix.sigSel, bc.qbits[:qw], &bc.match)
 
 	bd := &bc.stats
-	if !direct {
-		// Transpose the cluster-major match into the query-major view
-		// the statistics replay needs (counting sort over match
-		// positions; within a query the records stay in ascending
-		// cluster order, exactly the matchClusters order of the
-		// single-query path). Each match.QIdx entry becomes one
-		// statistics record below, in the same order, so the stored
-		// value is the entry's own position.
-		if cap(bc.qcOff) < nq+1 {
-			//acvet:ignore noalloc amortized scratch growth; no alloc once qcOff covers the batch size
-			bc.qcOff = make([]int32, 0, nq+1)
-		}
-		bc.qcOff = bc.qcOff[:nq+1]
-		for i := range bc.qcOff {
-			bc.qcOff[i] = 0
-		}
-		for _, q32 := range bc.match.QIdx {
-			bc.qcOff[q32+1]++
-		}
-		for i := 0; i < nq; i++ {
-			bc.qcOff[i+1] += bc.qcOff[i]
-		}
-		pairs := len(bc.match.QIdx)
-		if cap(bc.qcIdx) < pairs {
-			//acvet:ignore noalloc amortized scratch growth; no alloc once qcIdx covers the match volume
-			bc.qcIdx = make([]int32, 0, pairs)
-		}
-		bc.qcIdx = bc.qcIdx[:pairs]
-		for j, q32 := range bc.match.QIdx {
-			bc.qcIdx[bc.qcOff[q32]] = int32(j)
-			bc.qcOff[q32]++
-		}
-		// The cursor pass shifted every offset to the start of the
-		// next query's range; shift back.
-		for i := nq; i > 0; i-- {
-			bc.qcOff[i] = bc.qcOff[i-1]
-		}
-		bc.qcOff[0] = 0
-
-		bd.nq = nq
-		bd.d.candOff = append(bd.d.candOff[:0], 0)
-	}
+	bd.nq = nq
+	bd.query = bc.match.QIdx // record j is match entry j
+	bd.candOff = append(bd.candOff[:0], 0)
 
 	// Per-query dimension orders, computed once per batch.
 	if cap(bc.orders) < nq*dims {
@@ -292,24 +214,16 @@ func (ix *Index) batchRead(bc *batchScratch, qs []geom.Rect, rel geom.Relation, 
 	// interested query back-to-back, while they are hot in cache. The
 	// per-(cluster,query) work and meter charges are exactly the
 	// single-query path's; the records land in match order, which is what
-	// the qcIdx transpose above indexes.
+	// bd.query indexes.
 	stride := ix.sigStride()
 	for p, ci := range bc.match.Clusters {
 		c := ix.clusters[ci]
 		n := len(c.ids)
 		sb := ix.sigBounds[int(ci)*stride : (int(ci)+1)*stride]
-		if direct {
-			ix.syncStats(c)
-			for _, q32 := range bc.match.QIdx[bc.match.QOff[p]:bc.match.QOff[p+1]] {
-				c.q++
-				updateCandidateStats(c, qs[q32], rel)
-			}
-		} else {
-			for _, q32 := range bc.match.QIdx[bc.match.QOff[p]:bc.match.QOff[p+1]] {
-				bd.d.clusters = append(bd.d.clusters, c)
-				recordCandidateStats(c, qs[q32], rel, &bd.d)
-				bd.d.candOff = append(bd.d.candOff, int32(len(bd.d.cands)))
-			}
+		for _, q32 := range bc.match.QIdx[bc.match.QOff[p]:bc.match.QOff[p+1]] {
+			bd.clusters = append(bd.clusters, c)
+			recordCandidateStats(c, qs[q32], rel, bd)
+			bd.candOff = append(bd.candOff, int32(len(bd.cands)))
 		}
 		for _, q32 := range bc.match.QIdx[bc.match.QOff[p]:bc.match.QOff[p+1]] {
 			qi := int(q32)
@@ -347,58 +261,4 @@ func (ix *Index) batchRead(bc *batchScratch, qs []geom.Rect, rel geom.Relation, 
 		dst.IDs = append(dst.IDs, bc.perQ[qi]...)
 		dst.Off[qi+1] = int32(len(dst.IDs))
 	}
-}
-
-// applyBatchQuery performs one batched query's share of the deferred
-// statistics publication — the same increments applyScratch makes for a
-// single query, picked out of the cluster-major batch delta through the
-// query-major transpose.
-func (ix *Index) applyBatchQuery(bc *batchScratch, qi int) {
-	bd := &bc.stats
-	for _, j := range bc.qcIdx[bc.qcOff[qi]:bc.qcOff[qi+1]] {
-		c := bd.d.clusters[j]
-		if c.removed {
-			continue
-		}
-		ix.syncStats(c)
-		c.q++
-		cq := c.cands.q
-		for _, k := range bd.d.cands[bd.d.candOff[j]:bd.d.candOff[j+1]] {
-			cq[k]++
-		}
-	}
-	ix.window++
-	ix.sinceReorg++
-	if ix.sinceReorg >= ix.cfg.ReorgEvery {
-		ix.beginEpoch()
-	}
-}
-
-// applyBatchInline applies the whole batch's statistics in one cluster-major
-// walk over the delta records. Valid only when no epoch boundary falls inside
-// the batch (ix.sinceReorg + nq < ReorgEvery): then the per-query replay's
-// observable effects — syncStats, which early-returns once a cluster is
-// synced to the current epoch, and the commutative Q increments and window
-// ticks — are order-independent, so the linear walk over the records (each
-// cluster's entries adjacent, its stats hot) produces the identical state at
-// a fraction of the pointer-chasing.
-func (ix *Index) applyBatchInline(bc *batchScratch) {
-	bd := &bc.stats
-	var last *Cluster
-	for j, c := range bd.d.clusters {
-		if c.removed {
-			continue
-		}
-		if c != last {
-			ix.syncStats(c)
-			last = c
-		}
-		c.q++
-		cq := c.cands.q
-		for _, k := range bd.d.cands[bd.d.candOff[j]:bd.d.candOff[j+1]] {
-			cq[k]++
-		}
-	}
-	ix.window += float64(bd.nq)
-	ix.sinceReorg += bd.nq
 }

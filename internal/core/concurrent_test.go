@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -101,6 +102,86 @@ func TestConcurrentStatsMatchSerial(t *testing.T) {
 	sm, cm := serial.Meter(), conc.Meter()
 	if sm != cm {
 		t.Fatalf("meters diverge:\nserial     %+v\nconcurrent %+v", sm, cm)
+	}
+}
+
+// TestExclusiveStatsMatchDeferredAcrossEpochs pins the two ways a query's
+// statistics delta is published against each other where an epoch rolls:
+// the exclusive entry points (Search, SearchIDsAppend, Count) apply the
+// delta at once, the *Read entry points queue it for DrainStats. With a
+// drain after every deferred query the two twins must stay bit-identical —
+// window, epoch, every cluster's Q, every candidate's q and the meters —
+// across several epoch boundaries (ReorgEvery 7). BackgroundReorg keeps the
+// structure frozen once the warm-up clustering has converged, so the
+// comparison is exact.
+func TestExclusiveStatsMatchDeferredAcrossEpochs(t *testing.T) {
+	const dims = 4
+	cfg := Config{Dims: dims, ReorgEvery: 7, BackgroundReorg: true}
+	all := func(uint32) bool { return true }
+	for _, rel := range []geom.Relation{geom.Intersects, geom.ContainedBy, geom.Encloses} {
+		excl, deferred := buildTwin(t, cfg, 2000, 71, 0.3)
+		warm := rand.New(rand.NewSource(72))
+		for i := 0; i < 60; i++ {
+			q := randomRect(warm, dims, 0.5)
+			if err := excl.Search(q, geom.Intersects, all); err != nil {
+				t.Fatal(err)
+			}
+			if err := deferred.Search(q, geom.Intersects, all); err != nil {
+				t.Fatal(err)
+			}
+		}
+		excl.Reorganize()
+		deferred.Reorganize()
+		diffStats(t, "after warm-up", snapshotStats(excl), snapshotStats(deferred))
+		if excl.Clusters() < 3 {
+			t.Fatalf("rel=%v: warm-up formed %d clusters; the comparison would cover the root only", rel, excl.Clusters())
+		}
+
+		startEpoch := excl.Epoch()
+		rng := rand.New(rand.NewSource(73))
+		var a, b []uint32
+		for i := 0; i < 4*cfg.ReorgEvery+3; i++ {
+			q := randomRect(rng, dims, 0.6)
+			if rel == geom.Encloses {
+				q = pointRect(rng, dims)
+			}
+			var err1, err2 error
+			switch i % 4 {
+			case 0:
+				err1 = excl.Search(q, rel, all)
+				err2 = deferred.SearchRead(q, rel, all)
+			case 1:
+				a, err1 = excl.SearchIDsAppend(a[:0], q, rel)
+				b, err2 = deferred.SearchIDsAppendRead(b[:0], q, rel)
+				if !equalIDs(a, b) {
+					t.Fatalf("rel=%v query %d: exclusive ids %v, deferred %v", rel, i, a, b)
+				}
+			case 2:
+				var n1, n2 int
+				n1, err1 = excl.Count(q, rel)
+				n2, err2 = deferred.CountRead(q, rel)
+				if n1 != n2 {
+					t.Fatalf("rel=%v query %d: exclusive count %d, deferred %d", rel, i, n1, n2)
+				}
+			case 3:
+				// Early stop: statistics still cover every matched
+				// cluster, charges only the explored ones.
+				left1, left2 := 3, 3
+				err1 = excl.Search(q, rel, func(uint32) bool { left1--; return left1 > 0 })
+				err2 = deferred.SearchRead(q, rel, func(uint32) bool { left2--; return left2 > 0 })
+			}
+			if err1 != nil || err2 != nil {
+				t.Fatalf("rel=%v query %d: %v / %v", rel, i, err1, err2)
+			}
+			deferred.DrainStats()
+			diffStats(t, fmt.Sprintf("rel=%v query %d", rel, i), snapshotStats(excl), snapshotStats(deferred))
+			if em, dm := excl.Meter(), deferred.Meter(); em != dm {
+				t.Fatalf("rel=%v query %d: meters diverge:\nexclusive %+v\ndeferred  %+v", rel, i, em, dm)
+			}
+		}
+		if rolled := excl.Epoch() - startEpoch; rolled < 3 {
+			t.Fatalf("rel=%v: %d epochs rolled, want ≥ 3", rel, rolled)
+		}
 	}
 }
 

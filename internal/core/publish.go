@@ -1,34 +1,36 @@
 package core
 
-// Deferred statistics publication: the machinery that lets spatial
-// selections run under a shared (read) lock.
+// Statistics publication: the one path by which a query's bookkeeping
+// reaches the index.
 //
 // The paper couples every query with bookkeeping — the explored clusters'
 // query indicators Q, the candidate subclusters' indicators q, the decayed
 // statistics window and the reorganization schedule all advance per query
-// (§3.1) — which naively makes every search a write. To let concurrent
-// searches of one index proceed in parallel, the query path is split in two:
+// (§3.1) — which naively makes every search a write. Every query is split
+// in two instead:
 //
-//   - The *read phase* (searchRead) touches only state that mutations keep
-//     frozen while readers are in flight: the cluster list, the signature
-//     mirror, the member columns and the candidate bounds. Everything the
-//     query would have written — cost-meter counts and the statistics
-//     increments — is recorded into the query's own pooled scratch instead.
-//   - The *publication phase* applies those recorded increments. Meter
-//     deltas merge immediately into a SyncMeter (its own short mutex, safe
-//     under the shared lock). Statistics deltas are enqueued into a small
-//     mailbox and applied by the next caller that holds the index
-//     exclusively: every mutating operation drains the mailbox on entry,
-//     and lock-owning wrappers (accluster.Adaptive, internal/shard) call
-//     TryDrainStats after each query — opportunistically with TryLock, so
-//     readers never wait for publication, with a blocking drain only once
-//     the backlog reaches StatsBacklogMax.
+//   - The *read phase* (searchRead, batchRead) touches only state that
+//     mutations keep frozen while readers are in flight: the cluster list,
+//     the signature mirror, the member columns and the candidate bounds.
+//     Everything the query would have written — cost-meter counts and the
+//     statistics increments — is recorded into its own pooled scratch.
+//   - The *publication phase* applies the recorded statistics delta through
+//     applyStats. Meter deltas merge immediately into a SyncMeter (its own
+//     short mutex, safe under the shared lock). An exclusive caller (Search,
+//     SearchIDsAppend, Count, SearchIDsBatch) applies its statistics delta
+//     at once and pays its budgeted reorganization steps. A concurrent
+//     caller (the *Read methods) enqueues it into a small mailbox instead,
+//     applied by the next caller that holds the index exclusively: every
+//     mutating operation drains the mailbox on entry, and lock-owning
+//     wrappers (accluster.Adaptive, internal/shard) call TryDrainStats after
+//     each query — opportunistically with TryLock, so readers never wait for
+//     publication, with a blocking drain only once the backlog reaches
+//     StatsBacklogMax.
 //
-// Applied increments are exactly the ones the serial path would have made
-// (+1 per explored cluster and matched candidate, one window tick per
-// query), so after all deltas drain, concurrent and serial execution of the
-// same query set leave identical statistics up to the commutative reordering
-// of the additions.
+// Applied increments are the same either way (+1 per explored cluster and
+// matched candidate, one window tick per query), so after all deltas drain,
+// concurrent and exclusive execution of the same query set leave identical
+// statistics up to the commutative reordering of the additions.
 
 import (
 	"sync"
@@ -40,23 +42,68 @@ import (
 // pinned by queued scratches and the staleness of the adaptive statistics.
 const StatsBacklogMax = 128
 
-// statDelta records the statistics publication one query owes: the
-// signature-matching clusters (one Q increment each) and, per cluster, the
-// candidate subclusters the query virtually explored (one q increment each),
-// as a flat index list sliced by candOff.
+// statDelta records the statistics publication nq queries owe (one for a
+// single query, the batch size for a batch): one record per (cluster,query)
+// signature match — the cluster (one Q increment) and the candidate
+// subclusters the query virtually explored (one q increment each), as a flat
+// index list sliced by candOff. A batch lays its records out cluster-major,
+// so recording walks each cluster's candidate columns once, hot, for all its
+// interested queries; query[j] is record j's position in the batch (nil for
+// a single query, whose records all belong to query 0).
 type statDelta struct {
+	nq       int
 	clusters []*Cluster
 	candOff  []int32 // len(clusters)+1 offsets into cands
 	cands    []int32 // flat matched-candidate indices
+	query    []int32 // batch position of each record's query; nil if nq == 1
+
+	// Query-major transpose of the records, built only when applyStats
+	// replays a batch query by query: qcIdx[qcOff[qi]:qcOff[qi+1]] are the
+	// records of query qi in ascending cluster order — the order the
+	// single-query read phase records them.
+	qcOff []int32
+	qcIdx []int32
 }
 
 func (d *statDelta) reset() {
 	for i := range d.clusters {
 		d.clusters[i] = nil // do not pin merged-away clusters in the pool
 	}
+	d.nq = 0
 	d.clusters = d.clusters[:0]
 	d.candOff = d.candOff[:0]
 	d.cands = d.cands[:0]
+	d.query = nil
+}
+
+// transpose builds the query-major view qcOff/qcIdx of a batch delta
+// (counting sort over the records' query positions; within a query the
+// records stay in ascending cluster order).
+func (d *statDelta) transpose() {
+	nq := d.nq
+	if cap(d.qcOff) < nq+1 {
+		d.qcOff = make([]int32, nq+1)
+	}
+	d.qcOff = d.qcOff[:nq+1]
+	clear(d.qcOff)
+	for _, qi := range d.query {
+		d.qcOff[qi+1]++
+	}
+	for i := 0; i < nq; i++ {
+		d.qcOff[i+1] += d.qcOff[i]
+	}
+	if cap(d.qcIdx) < len(d.query) {
+		d.qcIdx = make([]int32, len(d.query))
+	}
+	d.qcIdx = d.qcIdx[:len(d.query)]
+	for j, qi := range d.query {
+		d.qcIdx[d.qcOff[qi]] = int32(j)
+		d.qcOff[qi]++
+	}
+	// The cursor pass shifted every offset to the start of the next
+	// query's range; shift back.
+	copy(d.qcOff[1:], d.qcOff[:nq])
+	d.qcOff[0] = 0
 }
 
 // statPub is one mailbox entry: either a single query's scratch or a whole
@@ -87,25 +134,14 @@ func (ix *Index) putScratch(sc *searchScratch) {
 	ix.scratch.Put(sc)
 }
 
-// enqueueStats queues a completed query's statistics delta for the next
-// exclusive holder; safe under the shared lock.
+// enqueueStats queues a completed read phase's statistics delta — a whole
+// batch is one mailbox entry, so it costs one drain — for the next exclusive
+// holder; safe under the shared lock.
 //
 //ac:noalloc
-func (ix *Index) enqueueStats(sc *searchScratch) {
+func (ix *Index) enqueueStats(p statPub) {
 	ix.pendMu.Lock()
-	ix.pending = append(ix.pending, statPub{sc: sc})
-	ix.pendN.Store(int32(len(ix.pending)))
-	ix.pendMu.Unlock()
-}
-
-// enqueueBatchStats queues a completed batch's statistics delta — the whole
-// batch is one mailbox entry, so it costs one drain; safe under the shared
-// lock.
-//
-//ac:noalloc
-func (ix *Index) enqueueBatchStats(bc *batchScratch) {
-	ix.pendMu.Lock()
-	ix.pending = append(ix.pending, statPub{bc: bc})
+	ix.pending = append(ix.pending, p)
 	ix.pendN.Store(int32(len(ix.pending)))
 	ix.pendMu.Unlock()
 }
@@ -119,14 +155,14 @@ func (ix *Index) StatsBacklog() int { return int(ix.pendN.Load()) }
 // goroutine (the one way the exclusivity contract can be broken without a
 // data race — an emit callback calling back into the index) and applies all
 // queued statistics publications so the operation observes current
-// statistics.
+// statistics. It returns the number of queries applied.
 //
 //ac:excl
-func (ix *Index) exclusivePrep() {
+func (ix *Index) exclusivePrep() int {
 	if ix.readers.Load() != 0 {
 		panic("core: exclusive operation during an in-flight query (emit must not call back into the index)")
 	}
-	ix.applyPending()
+	return ix.applyPending()
 }
 
 // applyPending applies every queued statistics delta in enqueue order and
@@ -147,21 +183,12 @@ func (ix *Index) applyPending() int {
 	n := 0
 	for i, p := range batch {
 		if p.sc != nil {
-			ix.applyScratch(p.sc)
+			n += p.sc.stats.nq
+			ix.applyStats(&p.sc.stats, false)
 			ix.putScratch(p.sc)
-			n++
 		} else {
-			if ix.sinceReorg+p.bc.stats.nq < ix.cfg.ReorgEvery {
-				// No epoch boundary inside the batch: the
-				// per-query replay is order-independent, so
-				// apply cluster-major (see applyBatchInline).
-				ix.applyBatchInline(p.bc)
-			} else {
-				for qi := 0; qi < p.bc.stats.nq; qi++ {
-					ix.applyBatchQuery(p.bc, qi)
-				}
-			}
 			n += p.bc.stats.nq
+			ix.applyStats(&p.bc.stats, false)
 			ix.putBatchScratch(p.bc)
 		}
 		batch[i] = statPub{}
@@ -174,35 +201,76 @@ func (ix *Index) applyPending() int {
 	return n
 }
 
-// applyScratch performs one query's deferred statistics publication: the
-// exact increments the serial path makes inline — Q of every
-// signature-matching cluster, q of every matched candidate, one statistics
-// window tick, and the epoch trigger. Clusters merged away since the query
-// ran are skipped; their statistics died with them, as they would have had
-// the merge preceded the query.
-func (ix *Index) applyScratch(sc *searchScratch) {
-	d := &sc.stats
-	for j, c := range d.clusters {
-		if c.removed {
-			continue
+// applyStats performs a statistics delta's publication: Q of every recorded
+// cluster, q of every recorded candidate, one statistics window tick per
+// query and the epoch trigger. Clusters merged away since the read phase are
+// skipped; their statistics died with them, as they would have had the merge
+// preceded the query. An exclusive caller — one that ran the read phase
+// itself while holding the index — also pays, after each query, one budgeted
+// slice of pending reorganization work, the paper's coupled schedule
+// (Config.BackgroundReorg leaves that work to an external drainer).
+func (ix *Index) applyStats(d *statDelta, exclusive bool) {
+	if ix.sinceReorg+d.nq < ix.cfg.ReorgEvery && !(exclusive && len(ix.reorgQ) > 0) {
+		// No epoch boundary inside the delta and no reorganization work
+		// to interleave between an exclusive caller's queries: the
+		// per-query replay's observable effects — syncStats, which
+		// early-returns once a cluster is synced to the current epoch,
+		// and the commutative increments and window ticks — are
+		// order-independent, so one walk over the records in their
+		// recorded (cluster-major) order produces the identical state.
+		for j := range d.clusters {
+			ix.applyRecord(d, j)
 		}
-		ix.syncStats(c)
-		c.q++
-		cq := c.cands.q
-		for _, k := range d.cands[d.candOff[j]:d.candOff[j+1]] {
-			cq[k]++
+		ix.window += float64(d.nq)
+		ix.sinceReorg += d.nq
+		return
+	}
+	// Replay query by query, exactly the looped single-query order: each
+	// query's increments, then its window tick and epoch trigger, then its
+	// reorganization step.
+	if d.nq > 1 {
+		d.transpose()
+	}
+	for qi := 0; qi < d.nq; qi++ {
+		if d.nq == 1 {
+			for j := range d.clusters {
+				ix.applyRecord(d, j)
+			}
+		} else {
+			for _, j := range d.qcIdx[d.qcOff[qi]:d.qcOff[qi+1]] {
+				ix.applyRecord(d, int(j))
+			}
+		}
+		ix.window++
+		ix.sinceReorg++
+		if ix.sinceReorg >= ix.cfg.ReorgEvery {
+			ix.beginEpoch()
+		}
+		if exclusive && !ix.cfg.BackgroundReorg && len(ix.reorgQ) > 0 {
+			ix.drain(ix.cfg.ReorgBudgetClusters, ix.cfg.ReorgBudgetObjects)
 		}
 	}
-	ix.window++
-	ix.sinceReorg++
-	if ix.sinceReorg >= ix.cfg.ReorgEvery {
-		ix.beginEpoch()
+}
+
+// applyRecord applies record j of d: one Q increment for its cluster and one
+// q increment per matched candidate, on statistics synced to the current
+// epoch.
+func (ix *Index) applyRecord(d *statDelta, j int) {
+	c := d.clusters[j]
+	if c.removed {
+		return
+	}
+	ix.syncStats(c)
+	c.q++
+	cq := c.cands.q
+	for _, k := range d.cands[d.candOff[j]:d.candOff[j+1]] {
+		cq[k]++
 	}
 }
 
 // maxDrainReorgSteps caps the budgeted reorganization steps one DrainStats
 // call runs when a batch of queued publications is applied at once: the
-// serial cadence owes one step per query, but paying a whole
+// exclusive cadence owes one step per query, but paying a whole
 // StatsBacklogMax batch's worth of steps inside a single exclusive section
 // would reintroduce exactly the latency cliff the budgeted scheduler
 // removed. The remainder stays queued for later drains (or Reorganize).
@@ -211,17 +279,14 @@ const maxDrainReorgSteps = 8
 // DrainStats applies all queued statistics publications and, unless the
 // index defers maintenance to a background drainer
 // (Config.BackgroundReorg), runs one budgeted reorganization step per
-// applied query — the serial maintenance cadence — capped at
+// applied query — the exclusive callers' maintenance cadence — capped at
 // maxDrainReorgSteps per call so the exclusive section stays bounded even
 // when a full mailbox drains at once. It reports whether reorganization
 // work remains queued. The caller must hold the index exclusively.
 //
 //ac:excl
 func (ix *Index) DrainStats() bool {
-	if ix.readers.Load() != 0 {
-		panic("core: exclusive operation during an in-flight query (emit must not call back into the index)")
-	}
-	applied := ix.applyPending()
+	applied := ix.exclusivePrep()
 	if !ix.cfg.BackgroundReorg {
 		if applied > maxDrainReorgSteps {
 			applied = maxDrainReorgSteps

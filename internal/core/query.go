@@ -15,9 +15,10 @@ import (
 // largest explored cluster), the dimension ordering and its sort keys, plus
 // everything the query will publish after its read phase — the cost-meter
 // delta and the statistics delta. Scratches live in a pool (Index.scratch):
-// each concurrent query owns its own for the duration of the read phase;
-// the scratch travels with the statistics delta through the publication
-// mailbox and returns to the pool once the delta is applied.
+// each query owns its own for the duration of the read phase. An exclusive
+// caller applies the delta and returns the scratch to the pool at once; a
+// concurrent caller's scratch travels with the delta through the
+// publication mailbox and returns to the pool once the delta is applied.
 //
 //ac:scratch
 type searchScratch struct {
@@ -27,13 +28,7 @@ type searchScratch struct {
 	widths  []float32 // sort keys backing order
 
 	meter cost.Meter // this query's operation counts
-	stats statDelta  // this query's deferred statistics publication
-
-	// direct marks the exclusive-access (serial) mode: the query applies
-	// its statistics increments inline instead of recording them — the
-	// caller owns the index, so the record-then-replay pass of the
-	// concurrent path would be pure overhead.
-	direct bool
+	stats statDelta  // this query's statistics publication (nq == 1)
 }
 
 // ensureBits returns the bitmap sized for n objects.
@@ -60,42 +55,33 @@ func (sc *searchScratch) ensureBits(n int) []uint64 {
 // query defers its statistics publication; a reentrant exclusive operation
 // panics).
 //
-// Search publishes statistics and runs scheduled maintenance inline, so it
-// requires exclusive access. Concurrent callers holding a shared lock use
-// SearchRead/SearchIDsAppendRead/CountRead, which defer publication.
+// Search applies the query's statistics delta as soon as its read phase
+// ends and pays its budgeted slice of pending reorganization work, exactly
+// the paper's coupled schedule, so it requires exclusive access. Concurrent
+// callers holding a shared lock use SearchRead/SearchIDsAppendRead/CountRead,
+// which queue the delta instead.
+//
+//ac:noalloc
 func (ix *Index) Search(q geom.Rect, rel geom.Relation, emit func(id uint32) bool) error {
-	return ix.searchSerial(q, rel, emit, nil, nil)
+	return ix.searchExclusive(q, rel, emit, nil, nil)
 }
 
-// searchSerial is the exclusive-access path: statistics apply inline during
-// the scan (no record-and-replay) and the query pays its budgeted slice of
-// pending reorganization work, exactly the paper's coupled schedule. Any
-// deltas queued by earlier concurrent-mode queries are applied first, so
-// the two modes interleave coherently.
-func (ix *Index) searchSerial(q geom.Rect, rel geom.Relation, emit func(id uint32) bool, out *[]uint32, count *int) error {
+// searchExclusive runs the read phase and applies its statistics delta at
+// once. Any deltas queued by earlier concurrent queries are applied first
+// (exclusivePrep), so exclusive and concurrent queries interleave
+// coherently.
+//
+//ac:noalloc
+func (ix *Index) searchExclusive(q geom.Rect, rel geom.Relation, emit func(id uint32) bool, out *[]uint32, count *int) error {
 	ix.exclusivePrep()
 	sc := ix.getScratch()
-	sc.direct = true
 	err := ix.searchRead(sc, q, rel, emit, out, count)
-	sc.direct = false
-	if err != nil {
-		ix.putScratch(sc)
-		return err
+	if err == nil {
+		ix.meter.Merge(sc.meter)
+		ix.applyStats(&sc.stats, true)
 	}
-	ix.meter.Merge(sc.meter)
 	ix.putScratch(sc)
-	ix.window++
-	ix.sinceReorg++
-	if ix.sinceReorg >= ix.cfg.ReorgEvery {
-		ix.beginEpoch()
-	}
-	if !ix.cfg.BackgroundReorg && len(ix.reorgQ) > 0 {
-		// Inline incremental mode: this query pays for one budgeted
-		// slice of the pending reorganization work instead of one
-		// caller in ReorgEvery absorbing the whole pass.
-		ix.drain(ix.cfg.ReorgBudgetClusters, ix.cfg.ReorgBudgetObjects)
-	}
-	return nil
+	return err
 }
 
 // SearchRead is Search for concurrent callers: it is safe to run
@@ -129,8 +115,8 @@ func (ix *Index) CountRead(q geom.Rect, rel geom.Relation) (int, error) {
 	return n, err
 }
 
-// searchShared runs the read phase and defers the statistics publication to
-// the mailbox.
+// searchShared runs the read phase and queues its statistics delta in the
+// mailbox.
 //
 //ac:noalloc
 func (ix *Index) searchShared(q geom.Rect, rel geom.Relation, emit func(id uint32) bool, out *[]uint32, count *int) error {
@@ -140,7 +126,7 @@ func (ix *Index) searchShared(q geom.Rect, rel geom.Relation, emit func(id uint3
 		return err
 	}
 	ix.meter.Merge(sc.meter)
-	ix.enqueueStats(sc)
+	ix.enqueueStats(statPub{sc: sc})
 	return nil
 }
 
@@ -169,27 +155,19 @@ func (ix *Index) searchRead(sc *searchScratch, q geom.Rect, rel geom.Relation, e
 	sc.matches = ix.matchClusters(q, rel, sc.matches[:0])
 	order := queryDimOrder(sc, q, rel)
 	d := &sc.stats
-	if !sc.direct {
-		d.candOff = append(d.candOff, 0)
-	}
+	d.nq = 1
+	d.candOff = append(d.candOff, 0)
 	stopped := false
 	for _, ci := range sc.matches {
 		c := ix.clusters[ci]
 		// Clustering statistics cover every signature-matching cluster,
 		// even after the consumer stopped: the adaptive decisions model
 		// which clusters the query distribution selects, not how much of
-		// the answer a particular caller consumed. In exclusive (direct)
-		// mode they apply inline; in concurrent mode they are recorded
-		// here and applied at publication.
-		if sc.direct {
-			ix.syncStats(c)
-			c.q++
-			updateCandidateStats(c, q, rel)
-		} else {
-			d.clusters = append(d.clusters, c)
-			recordCandidateStats(c, q, rel, d)
-			d.candOff = append(d.candOff, int32(len(d.cands)))
-		}
+		// the answer a particular caller consumed. They are recorded here
+		// and applied at publication.
+		d.clusters = append(d.clusters, c)
+		recordCandidateStats(c, q, rel, d)
+		d.candOff = append(d.candOff, int32(len(d.cands)))
 		if stopped {
 			// The consumer gave up: the remaining matched clusters are
 			// not explored, so no cost-meter charges (Seeks,
@@ -260,50 +238,12 @@ func (ix *Index) searchRead(sc *searchScratch, q geom.Rect, rel geom.Relation, e
 	return nil
 }
 
-// b2q converts a candidate-match condition into its statistics increment.
-// The compiler lowers the conditional to a flag materialization (SETcc), so
-// the candidate pass below carries no data-dependent branches — whether a
-// candidate matches is close to a coin flip, which made the naive
-// conditional increment mispredict-bound.
-func b2q(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// updateCandidateStats bumps the query indicator of every candidate
-// subcluster virtually explored by the query — the exclusive-mode twin of
-// recordCandidateStats below, with the same relation-specialized match
-// conditions (pinned equal by TestConcurrentStatsMatchSerial). The pass is
-// branch-free: every indicator is written back with +0 or +1 rather than
-// conditionally skipped.
-func updateCandidateStats(c *Cluster, q geom.Rect, rel geom.Relation) {
-	cs := &c.cands
-	switch rel {
-	case geom.Intersects:
-		for i, d := range cs.dim {
-			m := b2q(cs.aLo[i] <= q.Max[d]) & b2q(q.Min[d] <= cs.bHi[i])
-			cs.q[i] += float64(m)
-		}
-	case geom.ContainedBy:
-		for i, d := range cs.dim {
-			m := b2q(cs.aHi[i] >= q.Min[d]) & b2q(cs.bLo[i] <= q.Max[d])
-			cs.q[i] += float64(m)
-		}
-	case geom.Encloses:
-		for i, d := range cs.dim {
-			m := b2q(cs.aLo[i] <= q.Min[d]) & b2q(cs.bHi[i] >= q.Max[d])
-			cs.q[i] += float64(m)
-		}
-	}
-}
-
 // recordCandidateStats records the candidate subclusters virtually explored
 // by the query (the relation-specific necessary conditions of
 // sig.QueryDimMatch, specialized per relation so the pass over the candidate
 // array carries no per-candidate dispatch) into the statistics delta; the
-// matching indicators are incremented when the delta is published.
+// matching indicators are incremented when the delta is published. It is the
+// one candidate-statistics kernel of every query path, single and batched.
 //
 //ac:noalloc
 func recordCandidateStats(c *Cluster, q geom.Rect, rel geom.Relation, d *statDelta) {
@@ -332,10 +272,12 @@ func recordCandidateStats(c *Cluster, q geom.Rect, rel geom.Relation, d *statDel
 
 // Count returns the number of objects satisfying the selection. It sums the
 // per-cluster survivor counts of the block scan directly — no ids are
-// extracted or buffered.
+// extracted or buffered. Like Search it requires exclusive access.
+//
+//ac:noalloc
 func (ix *Index) Count(q geom.Rect, rel geom.Relation) (int, error) {
 	n := 0
-	err := ix.searchSerial(q, rel, nil, nil, &n)
+	err := ix.searchExclusive(q, rel, nil, nil, &n)
 	return n, err
 }
 
@@ -348,8 +290,10 @@ func (ix *Index) SearchIDs(q geom.Rect, rel geom.Relation) ([]uint32, error) {
 // and returns the extended slice. It bypasses the per-object emit
 // indirection, and reusing the returned slice across calls makes
 // steady-state selections allocation-free once its capacity covers the
-// answer sets.
+// answer sets. Like Search it requires exclusive access.
+//
+//ac:noalloc
 func (ix *Index) SearchIDsAppend(dst []uint32, q geom.Rect, rel geom.Relation) ([]uint32, error) {
-	err := ix.searchSerial(q, rel, nil, &dst, nil)
+	err := ix.searchExclusive(q, rel, nil, &dst, nil)
 	return dst, err
 }

@@ -87,7 +87,8 @@ func TestNoAllocAnnotatedPaths(t *testing.T) {
 
 	// core fixtures: a small in-memory index queried directly through the
 	// read-phase entry points, draining the stats mailbox after each query
-	// the way the lock-owning wrappers do.
+	// the way the lock-owning wrappers do, and through the exclusive entry
+	// points, which apply each query's statistics at once.
 	ix, err := core.New(core.Config{Dims: 2, ReorgEvery: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
@@ -217,6 +218,10 @@ func TestNoAllocAnnotatedPaths(t *testing.T) {
 			runErr = ix.SearchBatchRead(&cb, qs2, Intersects)
 			ix.TryDrainStats(&ixMu)
 		}},
+		{"accluster/internal/core.Index.Search", func() { runErr = ix.Search(q2, Intersects, emit) }},
+		{"accluster/internal/core.Index.SearchIDsAppend", func() { cdst, runErr = ix.SearchIDsAppend(cdst[:0], q2, Intersects) }},
+		{"accluster/internal/core.Index.Count", func() { _, runErr = ix.Count(q2, Intersects) }},
+		{"accluster/internal/core.Index.SearchIDsBatch", func() { runErr = ix.SearchIDsBatch(&cb, qs2, Intersects) }},
 		{"accluster/internal/telemetry.Histogram.Record", func() { hist.Record(12345) }},
 		{"accluster/internal/telemetry.Histogram.RecordSince", func() { hist.RecordSince(t0) }},
 		{"accluster.Adaptive.Search", func() { runErr = a.Search(q4, Intersects, emit) }},
